@@ -212,7 +212,7 @@ def cmd_dim(args):
     params = cfg.params()
     out = cfg.out or "dim.json"
     try:
-        rec = bowen_dimension(params, cfg.accuracy)
+        rec = bowen_dimension(params, cfg.accuracy, budget=cfg.budget)
     except NumericsError as exc:
         trace = getattr(exc, "trace", [])
         write_json(out, {"error": str(exc),
@@ -238,7 +238,8 @@ def cmd_sweep(args):
     cfg = merge_config(args)
     spec = GridSpec(parse_complex(args.center) if args.center else cfg.c,
                     args.half_re, args.half_im, args.nx, args.ny)
-    grid = sweep_dimension(cfg.ell, spec, cfg.accuracy, threads=cfg.nthreads())
+    grid = sweep_dimension(cfg.ell, spec, cfg.accuracy, threads=cfg.nthreads(),
+                           budget=cfg.budget)
     rows = []
     for c, rec in zip(grid.centers, grid.records):
         d = rec.diagnostics
@@ -352,18 +353,16 @@ def cmd_expansion(args):
 
 # --------------------------------------------------------------------- main
 
-def _add_common(sp):
+def _add_common(sp, *knobs):
+    """Shared flags plus the numeric knobs this subcommand honours.
+
+    A knob the subcommand cannot honour is not offered, so giving it on the
+    command line is a usage error; config files may still set any knob.
+    """
     sp.add_argument("--ell", type=int)
     sp.add_argument("--c", type=str)
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--t", type=float)
-    sp.add_argument("--prune", type=float)
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--accuracy", type=float)
-    sp.add_argument("--budget", type=lambda s: int(float(s)))
-    sp.add_argument("--threads", type=int)
-    sp.add_argument("--seed-spacing", dest="seed_spacing", type=float)
+    for name in knobs:
+        sp.add_argument("--" + name.replace("_", "-"), dest=name, type=_CASTS[name])
     sp.add_argument("--out", type=str)
     sp.add_argument("--format", dest="fmt", type=str,
                     choices=("csv", "json", "pgm"),
@@ -373,26 +372,30 @@ def _add_common(sp):
 
 def build_parser():
     ap = argparse.ArgumentParser(
-        prog="bowendim",
+        prog="bowendim", allow_abbrev=False,
         description="Pressure, preimages and Hausdorff-dimension estimates "
                     "for the cylinder map family ell*z + c - (ell-1)*log c - e^z")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("preimages", help="enumerate branch preimages (CSV)")
-    _add_common(sp)
+    def command(name, summary):
+        # no abbreviations: '--t' must not silently become '--threads'
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    sp = command("preimages", "enumerate branch preimages (CSV)")
+    _add_common(sp, "K", "tol", "seed_spacing")
     sp.add_argument("--w", type=str, required=True, help="target point a+bi")
     sp.set_defaults(func=cmd_preimages)
 
-    sp = sub.add_parser("pressure", help="one pressure estimate (JSON)")
-    _add_common(sp)
+    sp = command("pressure", "one pressure estimate (JSON)")
+    _add_common(sp, "t", "n", "K", "prune", "budget")
     sp.set_defaults(func=cmd_pressure)
 
-    sp = sub.add_parser("dim", help="Bowen dimension estimate (JSON)")
-    _add_common(sp)
+    sp = command("dim", "Bowen dimension estimate (JSON)")
+    _add_common(sp, "accuracy", "budget")
     sp.set_defaults(func=cmd_dim)
 
-    sp = sub.add_parser("sweep", help="dimension sweep over a c-grid (CSV)")
-    _add_common(sp)
+    sp = command("sweep", "dimension sweep over a c-grid (CSV)")
+    _add_common(sp, "accuracy", "budget", "threads")
     sp.add_argument("--center", type=str)
     sp.add_argument("--half-re", dest="half_re", type=float, default=0.25)
     sp.add_argument("--half-im", dest="half_im", type=float, default=0.25)
@@ -400,7 +403,7 @@ def build_parser():
     sp.add_argument("--ny", type=int, default=5)
     sp.set_defaults(func=cmd_sweep)
 
-    sp = sub.add_parser("classify", help="orbit classification grid (PGM)")
+    sp = command("classify", "orbit classification grid (PGM)")
     _add_common(sp)
     sp.add_argument("--window", type=str, default="-6:6",
                     help="re_min:re_max (imaginary axis spans the strip)")
@@ -411,16 +414,15 @@ def build_parser():
                     default=defaults.RADIUS_EPS)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("continue-orbit",
-                        help="continue a repelling fixed point in c (CSV)")
-    _add_common(sp)
+    sp = command("continue-orbit", "continue a repelling fixed point in c (CSV)")
+    _add_common(sp, "tol")
     sp.add_argument("--c-end", dest="c_end", type=str, required=True)
     sp.add_argument("--steps", type=int, default=20)
     sp.add_argument("--k", type=int, default=1, help="lift index of the start")
     sp.set_defaults(func=cmd_continue_orbit)
 
-    sp = sub.add_parser("expansion", help="uniform expansion constants (JSON)")
-    _add_common(sp)
+    sp = command("expansion", "uniform expansion constants (JSON)")
+    _add_common(sp, "tol")
     sp.add_argument("--c-radius", dest="c_radius", type=float, default=0.1)
     sp.add_argument("--samples", type=int, default=50)
     sp.add_argument("--n-max", dest="n_max", type=int, default=10)

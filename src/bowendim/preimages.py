@@ -136,21 +136,31 @@ def _grid_seeds(a, spacing, re_lo=None, re_hi=None):
     return (res[:, None] + 1j * ims[None, :]).ravel()
 
 
-def _dedupe_sorted(i_idx, ks, xs, exs, radius):
-    """Deduplicate per-target roots within a cylinder-metric radius."""
+def _dedupe_sorted(i_idx, ks, xs, exs, radius, alone=None):
+    """Deduplicate per-target roots within a cylinder-metric radius.
+
+    Entries flagged in ``alone`` are known to share their quantisation cell
+    with no other entry and skip the first pass.  Survivors come back sorted
+    by (target, real part, imaginary part).
+    """
     if xs.size == 0:
         return i_idx, ks, xs, exs
     radius = max(radius, 1e-14)  # below fp resolution dedup is meaningless
-    # quantised pass on exact integer cell coordinates
-    re_q = np.round(xs.real / radius).astype(np.int64)
-    im_q = np.round(xs.imag / radius).astype(np.int64)
-    order = np.lexsort((ks, im_q, re_q, i_idx))
-    i_s, k_s, x_s, e_s = i_idx[order], ks[order], xs[order], exs[order]
-    rq, iq = re_q[order], im_q[order]
-    keep = np.ones(x_s.size, dtype=bool)
-    keep[1:] = ~((i_s[1:] == i_s[:-1]) & (rq[1:] == rq[:-1]) & (iq[1:] == iq[:-1]))
-    i_s, k_s, x_s, e_s = i_s[keep], k_s[keep], x_s[keep], e_s[keep]
-    # exact pass for cell-boundary stragglers, sorted by real part
+    # quantised pass on exact integer cell coordinates; the first entry of a
+    # cell in input order represents it
+    sub = np.arange(xs.size) if alone is None else np.flatnonzero(~alone)
+    re_q = np.round(xs.real[sub] / radius).astype(np.int64)
+    im_q = np.round(xs.imag[sub] / radius).astype(np.int64)
+    order = np.lexsort((ks[sub], im_q, re_q, i_idx[sub]))
+    i_s, rq, iq = i_idx[sub][order], re_q[order], im_q[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ~((i_s[1:] == i_s[:-1]) & (rq[1:] == rq[:-1]) & (iq[1:] == iq[:-1]))
+    kept = sub[order[first]]
+    if alone is not None:
+        kept = np.concatenate([np.flatnonzero(alone), kept])
+    i_s, k_s, x_s, e_s = i_idx[kept], ks[kept], xs[kept], exs[kept]
+    # exact pass for cell-boundary stragglers, sorted by real part; no two
+    # survivors tie on (target, real, imag), so the order is unique
     order = np.lexsort((x_s.imag, x_s.real, i_s))
     i_s, k_s, x_s, e_s = i_s[order], k_s[order], x_s[order], e_s[order]
     keep = np.ones(x_s.size, dtype=bool)
@@ -162,27 +172,15 @@ def _dedupe_sorted(i_idx, ks, xs, exs, radius):
     return i_s[keep], k_s[keep], x_s[keep], e_s[keep]
 
 
-def cluster_first(points, radius):
-    """Indices keeping one representative per cylinder-metric cluster."""
-    points = np.asarray(points, dtype=np.complex128)
-    if points.size == 0:
-        return np.empty(0, dtype=np.int64)
-    radius = max(radius, 1e-14)
-    re_q = np.round(points.real / radius).astype(np.int64)
-    im_q = np.round(points.imag / radius).astype(np.int64)
-    order = np.lexsort((im_q, re_q))
-    keep = np.ones(points.size, dtype=bool)
-    rq, iq = re_q[order], im_q[order]
-    keep[1:] = ~((rq[1:] == rq[:-1]) & (iq[1:] == iq[:-1]))
-    idx = order[keep]
-    # boundary stragglers: scan by real part
-    sub = idx[np.lexsort((points[idx].imag, points[idx].real))]
-    keep2 = np.ones(sub.size, dtype=bool)
-    for off in (1, 2):
-        if sub.size > off:
-            close = cylinder_distance(points[sub[off:]], points[sub[:-off]]) < radius
-            keep2[off:] &= ~close
-    return np.sort(sub[keep2])
+def _one_k_per_cell(a, max_abs_ex, radius, tol):
+    """True when two validated roots of one target in one dedupe cell share k.
+
+    Roots at most d = sqrt(2)*radius apart with residuals below tol satisfy
+    2*pi*|dk| <= (a + max|e^x| e^d) d + 2 tol; below pi (a factor 2 of
+    margin) that forces dk = 0.
+    """
+    d = math.sqrt(2.0) * max(radius, 1e-14)
+    return (a + max_abs_ex * math.exp(d)) * d + 2.0 * tol < math.pi
 
 
 def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
@@ -195,6 +193,11 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     ``kmax_by_i`` bounds the lift indices kept per target.  Robust seeds are
     added for |k| up to the structural cutoff; a dense rectangular grid
     (module-grade completeness) is added when dense_spacing is given.
+
+    Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; a table
+    over the slots stands in for sorting in the dedupe and the miss check.
+    Miss tracking needs the pairs to fill most of their slot range, as
+    preimage_arrays builds them.
     """
     rhs_base = np.asarray(rhs_base, dtype=np.complex128)
     pair_i = np.asarray(pair_i, dtype=np.int64)
@@ -203,7 +206,45 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
         raise InvalidTol(f"tol must be positive, got {tol}")
     a = int(a)
     k_sec = k_secondary(a, float(np.max(np.abs(rhs_base))) if rhs_base.size else 0.0)
+    kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
+    is_, ks, xc, ex = _strip_candidates(
+        a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, tol=tol,
+        fast_iters=fast_iters, robust_iters=robust_iters,
+        dense_spacing=dense_spacing, dense_k=dense_k)
 
+    radius = defaults.DEDUP_FACTOR * tol
+    ends = np.cumsum(2 * kmax_arr + 1)
+    n_slots = int(ends[-1]) if ends.size else 0
+    zero = ends - kmax_arr - 1
+    # the table has n_slots entries: a pair set far sparser than its slot
+    # range (one distant branch, as inverse_branch asks for) gets none
+    table = n_slots <= 2 * pair_k.size + 64
+    if track_misses and not table:
+        raise ValueError("miss tracking needs the pairs to fill their slots")
+    alone = None
+    if table and ex.size and _one_k_per_cell(a, float(np.abs(ex).max()),
+                                             radius, tol):
+        # each dedupe cell lies in one slot, so a root alone in its slot is
+        # alone in its cell
+        slot = zero[is_] + ks
+        alone = np.bincount(slot, minlength=n_slots)[slot] == 1
+    is_, ks, xc, ex = _dedupe_sorted(is_, ks, xc, ex, radius, alone)
+    if not track_misses:
+        return is_, ks, xc, ex
+
+    # fast-path pairs beyond the structural cutoff must each own one root
+    marked = np.zeros(n_slots, dtype=bool)
+    marked[zero[is_] + ks] = True
+    fast = np.abs(pair_k) > k_sec
+    fi, fk = pair_i[fast], pair_k[fast]
+    found = np.abs(fk) <= kmax_arr[fi]
+    found[found] = marked[zero[fi[found]] + fk[found]]
+    return is_, ks, xc, ex, fi[~found], fk[~found]
+
+
+def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
+                      fast_iters, robust_iters, dense_spacing, dense_k):
+    """Validated strip roots (i, k, x, e^x) before deduplication."""
     B = rhs_base[pair_i] + (TWO_PI * 1j) * pair_k
     cand_x = [_newton_batch(a, B, _log_seed(a, B), fast_iters)]
     cand_i = [pair_i]
@@ -251,20 +292,8 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
         xc[snap] = crit
         ex[snap] = np.exp(crit)
     resid = np.abs(a * xc - ex - (rhs_base[is_] + (TWO_PI * 1j) * ks))
-    kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
     ok = (resid < tol) & (np.abs(ks) <= kmax_arr[is_])
-    xc, is_, ks, ex = xc[ok], is_[ok], ks[ok], ex[ok]
-
-    is_, ks, xc, ex = _dedupe_sorted(is_, ks, xc, ex, defaults.DEDUP_FACTOR * tol)
-    if not track_misses:
-        return is_, ks, xc, ex
-
-    # fast-path pairs beyond the structural cutoff must each own one root
-    fast = np.abs(pair_k) > k_sec
-    want = pair_i[fast] * np.int64(1 << 22) + pair_k[fast]
-    have = is_ * np.int64(1 << 22) + ks
-    missed = ~np.isin(want, have)
-    return is_, ks, xc, ex, pair_i[fast][missed], pair_k[fast][missed]
+    return is_[ok], ks[ok], xc[ok], ex[ok]
 
 
 def _uniform_pairs(n_targets, kmax):

@@ -44,13 +44,6 @@ class ContinuationTrack:
     start: PeriodicPoint
 
 
-def _orbit(params, z, period):
-    pts = [z]
-    for _ in range(period - 1):
-        pts.append(evaluate(params, pts[-1]))
-    return pts
-
-
 def _orbit_derivatives(params, z, period, use_unit_d1f=False):
     """(D1F^n, D2F^n) at z for the period-n return map."""
     q = 1.0 + 0.0j if use_unit_d1f else param_derivative(params)

@@ -14,7 +14,10 @@ omission are ledgered per level and propagated into the reported error:
 Omitted mass m at level j contributes to S_n at most m * sup(L^(n-j) 1).
 Following the boundedness of the normalised iterates, the supremum is
 modelled as M * alpha^(n-j) with alpha the measured level-sum ratio and M a
-runtime probe estimate; both are heuristic and reported as such.
+runtime probe estimate; both are heuristic and reported as such.  The
+probe's geometry (points and |F'| of a small preimage tree) does not depend
+on t: it is built once per parameter, and only its weights are evaluated
+per t.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from . import defaults
 from .cylinder import TWO_PI, CylinderPoint, MapParams, canonical, cylinder_distance
 from .errors import NumericsError, TNotSummable
-from .preimages import (cluster_first, fixed_points, preimage_arrays,
+from .preimages import (_dedupe_sorted, fixed_points, preimage_arrays,
                         preimages, tail_bound_value, tail_weight_bound)
 
 log = logging.getLogger(__name__)
@@ -97,23 +100,39 @@ def default_base_point(params: MapParams, tol: float = defaults.TOL) -> complex:
     raise NumericsError(f"no repelling fixed point found for k=+-1 at {params}")
 
 
-@functools.lru_cache(maxsize=256)
-def _sup_l1_probe(params: MapParams, t: float, k_probe: int = 256) -> float:
-    """Runtime estimate of sup of L_t 1 over the Julia set.
+@functools.lru_cache(maxsize=4)
+def _sup_l1_probe(params: MapParams, k_probe: int = 256):
+    """Geometry of the sup probe, built once per parameter.
 
-    Probes are themselves Julia points: repelling fixed points and the first
-    two preimage generations of the base point (the Julia set is backward
+    Probes are themselves Julia points: the base point (a repelling fixed
+    point) and its first two preimage generations (the Julia set is backward
     invariant), so the estimate is not inflated by Fatou regions near the
-    critical value.
+    critical value.  Returns |F'| over every branch |k| <= k_probe of every
+    probe, grouped by probe, and the number of branches per probe; neither
+    depends on t.  One entry holds about half a million branches, hence the
+    small cache.
     """
     base = default_base_point(params)
-    p1, _, x1, _ = preimage_arrays(params, np.array([base]), 24)
-    p2, _, x2, _ = preimage_arrays(params, x1, 8)
+    _, _, x1, _ = preimage_arrays(params, np.array([base]), 24)
+    _, _, x2, _ = preimage_arrays(params, x1, 8)
     probes = np.concatenate([[base], x1, x2])
-    pi_, _, _, der = preimage_arrays(params, probes, k_probe)
-    w = np.abs(der) ** (-t)
-    sums = np.zeros(probes.size)
-    np.add.at(sums, pi_, w)
+    parent, _, _, der = preimage_arrays(params, probes, k_probe)
+    dabs = np.abs(der)
+    counts = np.bincount(parent, minlength=probes.size)
+    dabs.flags.writeable = False
+    counts.flags.writeable = False
+    return dabs, counts
+
+
+def _sup_l1(params: MapParams, t: float, k_probe: int = 256) -> float:
+    """Runtime estimate of sup of L_t 1 over the Julia set.
+
+    The probe geometry comes from the per-parameter cache; only the weights
+    |F'|^-t are evaluated here, per t.
+    """
+    dabs, counts = _sup_l1_probe(params, k_probe)
+    sums = np.zeros(counts.size)
+    np.add.at(sums, np.repeat(np.arange(counts.size), counts), dabs ** (-t))
     return float(sums.max() + tail_bound_value(k_probe, t))
 
 
@@ -153,7 +172,7 @@ class _Levels:
         level ratio and M a runtime bound on the normalised iterates.
         """
         alpha = self.alpha_hat()
-        m_hat = 1.3 * max(1.0, _sup_l1_probe(self.params, self.t) / alpha)
+        m_hat = 1.3 * max(1.0, _sup_l1(self.params, self.t) / alpha)
         for j, v in enumerate(self.values):
             if v > 0 and alpha ** j > 0:
                 m_hat = max(m_hat, 1.3 * v / alpha ** j)
@@ -459,7 +478,9 @@ def periodic_points(params: MapParams, n: int, K: int,
     repelling = np.abs(mult) > 1.0 + 1e-9
     U, mult = U[:, repelling], mult[repelling]
     # one entry per periodic point: deduplicate on the cycle starting point
-    uniq = cluster_first(U[0], defaults.DEDUP_FACTOR * tol)
+    n_pts = U.shape[1]
+    uniq = np.sort(_dedupe_sorted(np.zeros(n_pts, np.int64), np.arange(n_pts),
+                                  U[0], U[0], defaults.DEDUP_FACTOR * tol)[1])
     return U[:, uniq], mult[uniq]
 
 
@@ -478,7 +499,7 @@ def zeta_pressure(params: MapParams, t: float, n: int, K: int,
         return PressureEstimate(t, math.nan, math.inf, PressureMethod.ZETA, n, K, 0.0)
     total = float((np.abs(mult) ** (-t)).sum())
     value = math.log(total) / n
-    b_hat = max(1.0, _sup_l1_probe(params, t))
+    b_hat = max(1.0, _sup_l1(params, t))
     omitted = n * tail_bound_value(K, t) * b_hat ** (n - 1)
     unc = (math.log(total + omitted) - math.log(total)) / n
     return PressureEstimate(t, value, unc, PressureMethod.ZETA, n, K, 0.0)

@@ -100,3 +100,57 @@ def fixed_point_oracle(ell, c, box, spacing=0.1, k_cap=3, tol=1e-11):
 
 def central_difference(f, x, h):
     return (f(x + h) - f(x - h)) / (2 * h)
+
+
+def dedupe_reference(i_idx, ks, xs, exs, radius):
+    """Two-pass dedupe over every candidate: first entry per quantisation
+    cell in (target, cell, k) order, then a scan for cell-boundary
+    stragglers in (target, real, imag) order."""
+    if xs.size == 0:
+        return i_idx, ks, xs, exs
+    radius = max(radius, 1e-14)
+    re_q = np.round(xs.real / radius).astype(np.int64)
+    im_q = np.round(xs.imag / radius).astype(np.int64)
+    order = np.lexsort((ks, im_q, re_q, i_idx))
+    i_s, k_s, x_s, e_s = i_idx[order], ks[order], xs[order], exs[order]
+    rq, iq = re_q[order], im_q[order]
+    keep = np.ones(x_s.size, dtype=bool)
+    keep[1:] = ~((i_s[1:] == i_s[:-1]) & (rq[1:] == rq[:-1]) & (iq[1:] == iq[:-1]))
+    i_s, k_s, x_s, e_s = i_s[keep], k_s[keep], x_s[keep], e_s[keep]
+    order = np.lexsort((x_s.imag, x_s.real, i_s))
+    i_s, k_s, x_s, e_s = i_s[order], k_s[order], x_s[order], e_s[order]
+    keep = np.ones(x_s.size, dtype=bool)
+    for off in (1, 2):
+        if x_s.size > off:
+            d = x_s[off:] - x_s[:-off]
+            im = d.imag - TWO_PI * np.round(d.imag / TWO_PI)
+            close = (i_s[off:] == i_s[:-off]) & (np.hypot(d.real, im) < radius)
+            keep[off:] &= ~close
+    return i_s[keep], k_s[keep], x_s[keep], e_s[keep]
+
+
+def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
+                              dense_spacing=None):
+    """preimage_arrays(..., track_misses=True) finished the reference way.
+
+    The library's validated candidates (before deduplication) go through
+    dedupe_reference, and a fast pair counts as missed unless some survivor
+    carries its packed (target, k) key (np.isin).
+    """
+    from bowendim import defaults
+    from bowendim.preimages import _strip_candidates, _uniform_pairs, k_secondary
+
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
+    pair_i, pair_k, kmax_arr = _uniform_pairs(targets.size, kmax)
+    rhs = targets - params.affine_term
+    a = params.ell
+    k_sec = k_secondary(a, float(np.max(np.abs(rhs))))
+    cand = _strip_candidates(a, rhs, pair_i, pair_k, kmax_arr, k_sec, tol=tol,
+                             fast_iters=12, robust_iters=40,
+                             dense_spacing=dense_spacing, dense_k=None)
+    is_, ks, xc, ex = dedupe_reference(*cand, defaults.DEDUP_FACTOR * tol)
+    fast = np.abs(pair_k) > k_sec
+    want = pair_i[fast] * np.int64(1 << 22) + pair_k[fast]
+    have = is_ * np.int64(1 << 22) + ks
+    missed = ~np.isin(want, have)
+    return (is_, ks, xc, a - ex, pair_i[fast][missed], pair_k[fast][missed]), cand

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bowendim import preimages, pressure_ratio
+from bowendim import (DimensionRecord, GridSpec, SweepGrid, cli, preimages,
+                      pressure_ratio)
 from bowendim.cli import main, parse_complex, render_grid
 from bowendim.transfer import default_base_point
 
@@ -169,3 +170,58 @@ def test_window_flag_accepts_leading_dash(tmp_path):
                "--res", "8x8", "--max-iter", "30",
                "--out", str(tmp_path / "w.pgm")])
     assert rc == 0
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("dim", "--K", "64"), ("dim", "--n", "3"), ("dim", "--prune", "1e-9"),
+    ("dim", "--t", "1.5"), ("dim", "--tol", "1e-9"), ("dim", "--threads", "2"),
+    ("sweep", "--K", "64"), ("sweep", "--n", "3"), ("sweep", "--prune", "1e-9"),
+    ("sweep", "--t", "1.5"), ("sweep", "--tol", "1e-9"),
+])
+def test_unhonoured_flag_is_usage_error(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as e:
+        main([command, "--ell", "2", "--c", "2+0i", flag, value])
+    assert e.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def _record_calls(monkeypatch, name, result):
+    """Replace cli.<name> by a stub that records its arguments."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append((args, kwargs))
+        return result
+    monkeypatch.setattr(cli, name, fake)
+    return calls
+
+
+def test_dim_and_sweep_forward_budget(tmp_path, monkeypatch):
+    record = DimensionRecord(2.0, 1.46, 0.1, (1.4, 1.5), 3, {})
+    dims = _record_calls(monkeypatch, "bowen_dimension", record)
+    rc = main(["dim", "--ell", "2", "--c", "2+0i", "--budget", "5000",
+               "--accuracy", "0.1", "--out", str(tmp_path / "d.json")])
+    assert rc == 0
+    assert dims[-1][1]["budget"] == 5000
+    assert dims[-1][0][1] == 0.1
+
+    spec = GridSpec.square(2.0, 0.1, 1)
+    grid = SweepGrid(2, spec.centers(), [record], spec)
+    sweeps = _record_calls(monkeypatch, "sweep_dimension", grid)
+    rc = main(["sweep", "--ell", "2", "--center", "2+0i", "--nx", "1",
+               "--ny", "1", "--budget", "7e4", "--threads", "1",
+               "--out", str(tmp_path / "s.csv")])
+    assert rc == 0
+    assert sweeps[-1][1]["budget"] == 70_000
+    assert sweeps[-1][1]["threads"] == 1
+
+
+def test_config_keys_still_accepted_by_dim(tmp_path, monkeypatch):
+    record = DimensionRecord(2.0, 1.46, 0.1, (1.4, 1.5), 3, {})
+    dims = _record_calls(monkeypatch, "bowen_dimension", record)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("K = 64\nn = 3\ntol = 1e-9\nthreads = 2\nbudget = 9000\n")
+    rc = main(["dim", "--ell", "2", "--c", "2+0i", "--config", str(cfg),
+               "--out", str(tmp_path / "d.json")])
+    assert rc == 0
+    assert dims[-1][1]["budget"] == 9000

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from bowendim import (MapParams, cylinder_distance, evaluate, fixed_points,
-                      inverse_branch, preimages, tail_weight_bound)
+from bowendim import (MapParams, canonical, cylinder_distance, defaults,
+                      evaluate, fixed_points, inverse_branch, preimage_arrays,
+                      preimages, tail_weight_bound)
 from bowendim.errors import BranchMiss, InvalidTol, TNotSummable
-from oracles import preimage_oracle
+from bowendim.preimages import _one_k_per_cell
+from oracles import preimage_arrays_reference, preimage_oracle
 
 TWO_PI = 2 * math.pi
 
@@ -166,3 +168,54 @@ def test_every_small_branch_has_a_root(params22, rng):
         w = complex(rng.uniform(-2, 2), rng.uniform(-3, 3))
         ps = preimages(params22, w, 6)
         assert set(range(-6, 7)) <= set(ps.ks().tolist())
+
+
+def _same_bits(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+
+def _seeded_targets(ell, n, seed):
+    rng = np.random.default_rng([seed, ell])
+    return rng.uniform(-2 * ell, 6, n) + 1j * rng.uniform(-math.pi, math.pi, n)
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (2, 2.3 + 0.4j), (3, 3.2 - 0.3j)])
+@pytest.mark.parametrize("K", [64, 512, 4096])
+def test_slot_table_matches_reference_path(ell, c, K):
+    p = MapParams(ell, c)
+    targets = _seeded_targets(ell, 12, K)
+    got = preimage_arrays(p, targets, K, track_misses=True)
+    ref, _ = preimage_arrays_reference(p, targets, K)
+    _same_bits(got, ref)
+    if K == 4096:  # the absolute residual gate rejects roots at |k| ~ 1,800+
+        assert got[4].size > 0
+
+
+def test_slot_table_fallback_when_cells_can_span_k():
+    # a coarse tolerance widens the dedupe cells until one cell could hold
+    # two lift indices: the full dedupe runs instead of the slot shortcut
+    p = MapParams(2, 2.0)
+    targets = _seeded_targets(2, 4, 7)
+    tol = 1e-3
+    got = preimage_arrays(p, targets, 64, tol=tol, track_misses=True)
+    ref, cand = preimage_arrays_reference(p, targets, 64, tol=tol)
+    assert not _one_k_per_cell(2, float(np.abs(cand[3]).max()),
+                               defaults.DEDUP_FACTOR * tol, tol)
+    _same_bits(got, ref)
+
+
+def test_slot_table_with_many_small_k_duplicates():
+    # dense Newton seeds land on every small-|k| root many times over
+    for ell, c in ((2, 2.0), (3, 3.2 - 0.3j)):
+        p = MapParams(ell, c)
+        crit_value = canonical(evaluate(p, p.critical_point))
+        targets = np.concatenate([[p.log_c, crit_value],
+                                  _seeded_targets(ell, 3, 11)])
+        got = preimage_arrays(p, targets, 30, dense_spacing=0.35,
+                              track_misses=True)
+        ref, cand = preimage_arrays_reference(p, targets, 30,
+                                              dense_spacing=0.35)
+        assert cand[0].size > 5 * got[0].size
+        _same_bits(got, ref)

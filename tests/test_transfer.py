@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from bowendim import (apply_transfer, conformal_atoms,
-                      cylinder_distance, eigenfunction_iterate, evaluate,
-                      fixed_points, iterate_transfer_one, periodic_points,
-                      pressure_ratio, transfer_level_sums, zeta_pressure)
+from bowendim import (MapParams, apply_transfer, bowen_dimension,
+                      conformal_atoms, cylinder_distance, eigenfunction_iterate,
+                      evaluate, fixed_points, iterate_transfer_one,
+                      periodic_points, pressure_ratio, transfer_level_sums,
+                      zeta_pressure)
 from bowendim.errors import TNotSummable
-from bowendim.transfer import default_base_point
+from bowendim.preimages import preimage_arrays, tail_bound_value
+from bowendim.transfer import _sup_l1, _sup_l1_probe, default_base_point
 from oracles import preimage_oracle
 
 
@@ -212,3 +214,22 @@ def test_conformal_atoms_mass_and_validity(params22, base):
     for _ in range(3):
         z = evaluate(params22, z)
     assert np.max(cylinder_distance(z, base)) < 1e-9
+
+
+def test_sup_probe_built_once_per_parameter():
+    p = MapParams(2, 2.0)
+    _sup_l1_probe.cache_clear()
+    rec = bowen_dimension(p, accuracy=0.1, max_attempts=1)
+    assert rec.evaluations > 1
+    assert _sup_l1_probe.cache_info().misses == 1
+    # reference: the probe tree rebuilt from scratch and summed per probe
+    base = default_base_point(p)
+    _, _, x1, _ = preimage_arrays(p, np.array([base]), 24)
+    _, _, x2, _ = preimage_arrays(p, x1, 8)
+    probes = np.concatenate([[base], x1, x2])
+    parent, _, _, der = preimage_arrays(p, probes, 256)
+    for t in (1.1, 1.46, 1.8, 2.5):
+        sums = np.zeros(probes.size)
+        np.add.at(sums, parent, np.abs(der) ** (-t))
+        assert _sup_l1(p, t) == float(sums.max() + tail_bound_value(256, t))
+    assert _sup_l1_probe.cache_info().misses == 1
