@@ -23,8 +23,8 @@ from .cylinder import MapParams, OrbitTag, canonical, classify_window, \
 from .dimension import bowen_dimension
 from .errors import NumericsError
 from .preimages import fixed_points, preimages
-from .sweep import GridSpec, continue_periodic, expansion_constants, \
-    sweep_dimension
+from .sweep import GridSpec, _orbit_end, continue_periodic, \
+    expansion_constants, sweep_dimension
 from .transfer import default_base_point, pressure_ratio
 
 TAG_GRAY = {OrbitTag.ATTRACTED_TO_LOG_C: 220, OrbitTag.BAKER_ESCAPE: 160,
@@ -307,8 +307,7 @@ def cmd_continue_orbit(args):
     rows = []
     for c, z, mult in track.path:
         prm = MapParams(params.ell, c)
-        resid = cylinder_distance(evaluate(prm, z.z), z.z) if track.period == 1 \
-            else _period_residual(prm, z.z, track.period)
+        resid = cylinder_distance(_orbit_end(prm, z.z, track.period), z.z)
         rows.append((c.real, c.imag, z.re, z.im, abs(mult), resid))
     out = cfg.out or "continue_orbit.csv"
     write_csv(out, ["c_re", "c_im", "z_re", "z_im", "mult_abs", "residual"], rows)
@@ -317,13 +316,6 @@ def cmd_continue_orbit(args):
           f"[{min(mults):.4g}, {max(mults):.4g}], max residual "
           f"{max(r[5] for r in rows):.3g} -> {out}")
     return 0
-
-
-def _period_residual(params, z, period):
-    w = z
-    for _ in range(period):
-        w = evaluate(params, w)
-    return cylinder_distance(w, z)
 
 
 def cmd_expansion(args):

@@ -17,11 +17,22 @@ solver below handles both through the linear coefficient ``a``:
 Roots are canonicalised into the strip, re-assigned to their true lift index
 (a canonical shift by 2*pi*i*m moves index k to k - a*m), validated against
 the residual tolerance, and deduplicated in the cylinder metric.
+
+Every step is per target, so a large call is solved in contiguous blocks of
+targets on one process-wide thread pool (``defaults.default_threads()``
+workers; numpy releases the GIL in its kernels) and the blocks are joined in
+target order.  The structural cutoff k_secondary is fixed once per call from
+every target.  Only the main thread fans out: sweep cells and the pool's own
+workers solve their calls as one block.  The output bits depend neither on
+the blocks nor on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -161,7 +172,8 @@ def _dedupe_sorted(i_idx, ks, xs, exs, radius, alone=None):
     i_s, k_s, x_s, e_s = i_idx[kept], ks[kept], xs[kept], exs[kept]
     # exact pass for cell-boundary stragglers, sorted by real part; no two
     # survivors tie on (target, real, imag), so the order is unique
-    order = np.lexsort((x_s.imag, x_s.real, i_s))
+    order = np.argsort(x_s, kind="stable")  # complex: real, then imaginary
+    order = order[np.argsort(i_s[order], kind="stable")]
     i_s, k_s, x_s, e_s = i_s[order], k_s[order], x_s[order], e_s[order]
     keep = np.ones(x_s.size, dtype=bool)
     for off in (1, 2):
@@ -191,13 +203,19 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     Returns (i, k, x, e^x[, miss_i, miss_k]) flat arrays of validated strip
     roots, deduplicated per target and re-indexed after canonicalisation.
     ``kmax_by_i`` bounds the lift indices kept per target.  Robust seeds are
-    added for |k| up to the structural cutoff; a dense rectangular grid
-    (module-grade completeness) is added when dense_spacing is given.
+    added for |k| up to the structural cutoff, computed once from every
+    target; a dense rectangular grid (module-grade completeness) is added
+    when dense_spacing is given.
 
     Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; a table
     over the slots stands in for sorting in the dedupe and the miss check.
     Miss tracking needs the pairs to fill most of their slot range, as
     preimage_arrays builds them.
+
+    A large call whose pair_i is non-decreasing is solved in contiguous
+    target blocks on the solver pool when called from the main thread; the
+    blocks are joined in target order and the miss check runs once over the
+    whole call.  The output is bit-identical for any blocks and threads.
     """
     rhs_base = np.asarray(rhs_base, dtype=np.complex128)
     pair_i = np.asarray(pair_i, dtype=np.int64)
@@ -207,11 +225,6 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     a = int(a)
     k_sec = k_secondary(a, float(np.max(np.abs(rhs_base))) if rhs_base.size else 0.0)
     kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
-    is_, ks, xc, ex = _strip_candidates(
-        a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, tol=tol,
-        fast_iters=fast_iters, robust_iters=robust_iters,
-        dense_spacing=dense_spacing, dense_k=dense_k)
-
     radius = defaults.DEDUP_FACTOR * tol
     ends = np.cumsum(2 * kmax_arr + 1)
     n_slots = int(ends[-1]) if ends.size else 0
@@ -221,14 +234,34 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     table = n_slots <= 2 * pair_k.size + 64
     if track_misses and not table:
         raise ValueError("miss tracking needs the pairs to fill their slots")
-    alone = None
-    if table and ex.size and _one_k_per_cell(a, float(np.abs(ex).max()),
-                                             radius, tol):
-        # each dedupe cell lies in one slot, so a root alone in its slot is
-        # alone in its cell
-        slot = zero[is_] + ks
-        alone = np.bincount(slot, minlength=n_slots)[slot] == 1
-    is_, ks, xc, ex = _dedupe_sorted(is_, ks, xc, ex, radius, alone)
+
+    def block(lo, hi):
+        is_, ks, xc, ex = _strip_candidates(
+            a, rhs_base, pair_i[lo:hi], pair_k[lo:hi], kmax_arr, k_sec,
+            tol=tol, fast_iters=fast_iters, robust_iters=robust_iters,
+            dense_spacing=dense_spacing, dense_k=dense_k)
+        alone = None
+        if table and ex.size and _one_k_per_cell(a, float(np.abs(ex).max()),
+                                                 radius, tol):
+            # each dedupe cell lies in one slot, so a root alone in its slot
+            # is alone in its cell; the block's slots start at its first one
+            slot = zero[is_] + ks
+            slot -= slot.min()
+            alone = np.bincount(slot)[slot] == 1
+        return _dedupe_sorted(is_, ks, xc, ex, radius, alone)
+
+    cuts = _block_cuts(pair_i)
+    spans = list(zip(cuts[:-1], cuts[1:]))
+    pool = _solver_pool()[0] if len(spans) > 1 else None
+    if pool is None:
+        parts = [block(lo, hi) for lo, hi in spans]
+    else:
+        parts = list(pool.map(lambda span: block(*span), spans))
+    if len(parts) > 1:
+        # the dedupe sorts by target first, so joining the blocks in target
+        # order gives the one-block output
+        parts = [tuple(np.concatenate(col) for col in zip(*parts))]
+    is_, ks, xc, ex = parts[0]
     if not track_misses:
         return is_, ks, xc, ex
 
@@ -242,6 +275,44 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     return is_, ks, xc, ex, fi[~found], fk[~found]
 
 
+# A call of at least _SPLIT_PAIRS pairs gets one target block per worker, or
+# more so that no block exceeds _BLOCK_PAIRS pairs.
+_SPLIT_PAIRS = 8_192
+_BLOCK_PAIRS = 32_768
+
+
+@functools.cache
+def _solver_pool():
+    """(pool, workers) for target blocks; no pool, hence no thread, for one."""
+    workers = defaults.default_threads()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="bowendim-solve") \
+        if workers > 1 else None
+    return pool, workers
+
+
+def _block_cuts(pair_i):
+    """Pair offsets [0, ..., n] of contiguous target blocks, balanced by pairs.
+
+    One block unless the call is large, pair_i is non-decreasing and the
+    caller is the main thread: other threads (sweep cells, pool workers)
+    must neither oversubscribe the cores nor wait on the pool they run in.
+    """
+    n = pair_i.size
+    if (n < _SPLIT_PAIRS or threading.current_thread() is not threading.main_thread()
+            or np.any(pair_i[1:] < pair_i[:-1])):
+        return [0, n]
+    starts = np.flatnonzero(np.diff(pair_i)) + 1
+    if not starts.size:  # one target never splits, so it makes no pool
+        return [0, n]
+    n_blocks = max(_solver_pool()[1], -(-n // _BLOCK_PAIRS))
+    bounds = np.concatenate(([0], starts, [n]))
+    want = np.arange(1, n_blocks) * n // n_blocks
+    hi = np.searchsorted(bounds, want)
+    below, above = bounds[hi - 1], bounds[hi]
+    pick = np.where(want - below <= above - want, below, above)
+    return np.unique(np.concatenate(([0], pick, [n]))).tolist()
+
+
 def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
                       fast_iters, robust_iters, dense_spacing, dense_k):
     """Validated strip roots (i, k, x, e^x) before deduplication."""
@@ -253,10 +324,14 @@ def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
     small = np.abs(pair_k) <= k_sec
     if small.any():
         Bs = B[small]
-        for seed in _robust_seed_block(a, Bs):
-            cand_x.append(_newton_batch(a, Bs, seed, robust_iters))
-            cand_i.append(pair_i[small])
-            cand_k.append(pair_k[small])
+        # one Newton batch for every robust seed, seed-major; Newton acts
+        # per entry, so this equals one batch per seed
+        seeds = _robust_seed_block(a, Bs)
+        n_seeds = seeds.shape[0]
+        cand_x.append(_newton_batch(a, np.tile(Bs, n_seeds), seeds.ravel(),
+                                    robust_iters))
+        cand_i.append(np.tile(pair_i[small], n_seeds))
+        cand_k.append(np.tile(pair_k[small], n_seeds))
         if dense_spacing is not None:
             dk = k_sec + 2 if dense_k is None else dense_k
             dsub = small & (np.abs(pair_k) <= dk)

@@ -1,5 +1,11 @@
 import cmath
+import importlib
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +14,13 @@ from bowendim import (MapParams, canonical, cylinder_distance, defaults,
                       evaluate, fixed_points, inverse_branch, preimage_arrays,
                       preimages, tail_weight_bound)
 from bowendim.errors import BranchMiss, InvalidTol, TNotSummable
-from bowendim.preimages import _one_k_per_cell
+from bowendim.dimension import bowen_dimension
+from bowendim.preimages import _dedupe_sorted, _one_k_per_cell
 from oracles import preimage_arrays_reference, preimage_oracle
 
 TWO_PI = 2 * math.pi
+# the package exports the function preimages under the module's name
+preimages_mod = importlib.import_module("bowendim.preimages")
 
 
 def test_fixed_point_is_own_preimage(params22):
@@ -219,3 +228,168 @@ def test_slot_table_with_many_small_k_duplicates():
                                               dense_spacing=0.35)
         assert cand[0].size > 5 * got[0].size
         _same_bits(got, ref)
+
+
+def test_straggler_order_matches_lexsort():
+    # the dedupe's exact pass orders by (target, real, imaginary) with two
+    # stable argsorts; exact real ties and signed zeros keep the lexsort order
+    rng = np.random.default_rng(31)
+    n = 4000
+    i_s = rng.integers(0, 40, n)
+    re = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], n)
+    im = rng.choice([-0.0, 0.0, 1.0, -3.0], n) + np.where(
+        rng.random(n) < 0.5, 0.0, rng.uniform(-3, 3, n))
+    x_s = re + 1j * im
+    o = np.argsort(x_s, kind="stable")
+    o = o[np.argsort(i_s[o], kind="stable")]
+    assert np.array_equal(o, np.lexsort((x_s.imag, x_s.real, i_s)))
+
+
+def test_dedupe_output_sorted_by_target_real_imag():
+    rng = np.random.default_rng(5)
+    n = 3000
+    i_idx = rng.integers(0, 30, n)
+    xs = rng.choice([-0.0, 0.0, 0.5], n) + 1j * rng.uniform(-3, 3, n)
+    i_s, _, x_s, _ = _dedupe_sorted(i_idx, np.zeros(n, np.int64), xs,
+                                    np.exp(xs), 1e-10)
+    assert np.array_equal(np.lexsort((x_s.imag, x_s.real, i_s)),
+                          np.arange(i_s.size))
+
+
+@pytest.fixture()
+def small_blocks(monkeypatch):
+    """Split every call of two or more targets into blocks of <= 700 pairs."""
+    monkeypatch.setattr(preimages_mod, "_SPLIT_PAIRS", 1)
+    monkeypatch.setattr(preimages_mod, "_BLOCK_PAIRS", 700)
+
+
+def _one_block(fn, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(preimages_mod, "_SPLIT_PAIRS", 1 << 62)
+        return fn()
+
+
+def test_block_cuts_follow_targets(small_blocks):
+    pair_i, _, _ = preimages_mod._uniform_pairs(9, np.arange(9) * 40 + 3)
+    cuts = preimages_mod._block_cuts(pair_i)
+    assert len(cuts) > 3 and cuts[0] == 0 and cuts[-1] == pair_i.size
+    starts = set(np.flatnonzero(np.diff(pair_i)) + 1)
+    assert all(c in starts for c in cuts[1:-1])
+    # decreasing target order (as a caller might build it) is never split
+    assert preimages_mod._block_cuts(pair_i[::-1].copy()) == [0, pair_i.size]
+
+
+def test_one_target_makes_no_pool(monkeypatch):
+    def no_pool():
+        raise AssertionError("a call that cannot split made the solver pool")
+
+    monkeypatch.setattr(preimages_mod, "_solver_pool", no_pool)
+    pair_i = np.zeros(preimages_mod._SPLIT_PAIRS + 1, dtype=np.int64)
+    assert preimages_mod._block_cuts(pair_i) == [0, pair_i.size]
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.3 + 0.4j), (3, 3.2 - 0.3j)])
+@pytest.mark.parametrize("K", [64, 512, 4096])
+def test_blocked_solve_matches_one_block(ell, c, K, small_blocks, monkeypatch):
+    p = MapParams(ell, c)
+    targets = _seeded_targets(ell, 12, K + 1)
+    ref = _one_block(lambda: preimage_arrays(p, targets, K, track_misses=True),
+                     monkeypatch)
+    got = preimage_arrays(p, targets, K, track_misses=True)
+    _same_bits(got, ref)
+    if K == 4096:
+        assert got[4].size > 0
+
+
+def test_blocks_share_the_call_k_secondary(small_blocks, monkeypatch):
+    # per-block cutoffs would seed different pairs robustly, and the
+    # straggler pass could then keep a different representative
+    p = MapParams(2, 2.0)
+    targets = np.array([-8.0 + 3.0j, 0.4 + 0.1j, 0.2 - 0.3j, 6.0 - 2.0j])
+    seen = []
+    strip_candidates = preimages_mod._strip_candidates
+
+    def spy(*args, **kwargs):
+        seen.append(args[5])
+        return strip_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(preimages_mod, "_strip_candidates", spy)
+    preimage_arrays(p, targets, 300)
+    rhs = np.abs(targets - p.affine_term)
+    want = preimages_mod.k_secondary(2, float(rhs.max()))
+    assert preimages_mod.k_secondary(2, float(rhs.min())) != want
+    assert len(seen) > 1 and set(seen) == {want}
+
+
+def test_blocked_solve_when_cells_can_span_k(small_blocks, monkeypatch):
+    p = MapParams(2, 2.0)
+    targets = _seeded_targets(2, 8, 7)
+    tol = 1e-3
+    radius = defaults.DEDUP_FACTOR * tol
+    ref = _one_block(lambda: preimage_arrays(p, targets, 64, tol=tol,
+                                             track_misses=True), monkeypatch)
+    got = preimage_arrays(p, targets, 64, tol=tol, track_misses=True)
+    _same_bits(got, ref)
+    # the slot shortcut's guard fails in some block (one block per target)
+    # the guard of the slot shortcut fails in the block holding the largest
+    # |e^x| (got[3] is 2 - e^x)
+    assert not _one_k_per_cell(2, float(np.abs(2 - got[3]).max()), radius, tol)
+
+
+def test_blocked_solve_with_dense_seeds(small_blocks, monkeypatch):
+    p = MapParams(3, 3.2 - 0.3j)
+    crit_value = canonical(evaluate(p, p.critical_point))
+    targets = np.concatenate([[p.log_c, crit_value],
+                              _seeded_targets(3, 4, 11)])
+    ref = _one_block(lambda: preimage_arrays(p, targets, 30, dense_spacing=0.35,
+                                             track_misses=True), monkeypatch)
+    got = preimage_arrays(p, targets, 30, dense_spacing=0.35, track_misses=True)
+    _same_bits(got, ref)
+
+
+def test_other_threads_solve_as_one_block(small_blocks, monkeypatch):
+    p = MapParams(2, 2.0)
+    targets = _seeded_targets(2, 6, 3)
+    ref = _one_block(lambda: preimage_arrays(p, targets, 200), monkeypatch)
+
+    def no_pool():
+        raise AssertionError("the solver pool was used off the main thread")
+
+    monkeypatch.setattr(preimages_mod, "_solver_pool", no_pool)
+    out, errors = [], []
+
+    def work():
+        try:
+            out.append(preimage_arrays(p, targets, 200))
+        except Exception as exc:  # reported from the main thread below
+            errors.append(exc)
+
+    th = threading.Thread(target=work)
+    th.start()
+    th.join(timeout=120)
+    assert not th.is_alive()
+    assert not errors, errors
+    _same_bits(out[0], ref)
+
+
+def test_bowen_dimension_independent_of_blocks(small_blocks, monkeypatch):
+    p = MapParams(2, 2.0)
+    rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
+    ref = _one_block(lambda: bowen_dimension(p, 0.05, max_attempts=1,
+                                             budget=50_000), monkeypatch)
+    assert repr(rec) == repr(ref)
+
+
+def test_import_and_base_point_start_no_thread():
+    code = ("import threading\n"
+            "n = threading.active_count()\n"
+            "import bowendim\n"
+            "from bowendim.transfer import default_base_point\n"
+            "default_base_point(bowendim.MapParams(2, 2.0))\n"
+            "print(threading.active_count() - n)\n")
+    src = str(Path(preimages_mod.__file__).parents[1])
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "0"
