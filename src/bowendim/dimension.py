@@ -10,12 +10,16 @@ accuracy as limited by operator truncation.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 from . import defaults
 from .cylinder import MapParams
 from .errors import AccuracyNotReached, NoBracket
-from .transfer import PressureEstimate, best_ratio_estimate, default_base_point
+from .transfer import (ChildTable, PressureEstimate, best_ratio_estimate,
+                       default_base_point)
+
+log = logging.getLogger(__name__)
 
 _ATTEMPTS = ((4, 512, 1e-9, 250_000),
              (5, 2048, 1e-11, 600_000),
@@ -26,12 +30,13 @@ _ATTEMPTS = ((4, 512, 1e-9, 250_000),
 
 def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
              max_attempts: int = len(_ATTEMPTS),
-             budget: int = None) -> PressureEstimate:
+             budget: int = None, children: ChildTable = None) -> PressureEstimate:
     """Adaptive pressure estimate at one t.
 
     Raises n, K and the pruning depth on a fixed schedule until the reported
     uncertainty drops below `accuracy`; raises AccuracyNotReached (carrying
     the best estimate) once the schedule or node budget is exhausted.
+    ``children`` lets the trees of one Bowen solve share their branch solves.
     """
     if t <= 1.0:
         raise ValueError("pressure is defined for t > 1")
@@ -42,7 +47,8 @@ def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
     for n, K, prune, nodes in _ATTEMPTS[:max_attempts]:
         if budget is not None:
             nodes = min(nodes, budget)
-        est = best_ratio_estimate(params, t, base, n, K, prune, nodes)
+        est = best_ratio_estimate(params, t, base, n, K, prune, nodes,
+                                  children=children)
         if best is None or est.uncertainty < best.uncertainty:
             best = est
         if est.uncertainty <= accuracy:
@@ -86,20 +92,23 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
 
     The point estimate interpolates the pressure linearly across the final
     bracket (smooth in the parameter c, unlike the raw midpoint) and always
-    lies strictly inside it.
+    lies strictly inside it.  Every tree of the solve draws its branch
+    solves from one ChildTable, so each node's children are solved once.
     """
     if accuracy <= 0:
         raise ValueError("accuracy must be positive")
     base = default_base_point(params) if z is None else complex(z)
     evals = 0
     trace = []
+    children = ChildTable()
 
     def est_at(t, acc, extra=0):
         nonlocal evals
         evals += 1
         try:
             e = pressure(params, t, acc, z=base,
-                         max_attempts=max_attempts + extra, budget=budget)
+                         max_attempts=max_attempts + extra, budget=budget,
+                         children=children)
         except AccuracyNotReached as exc:
             e = exc.estimate
         trace.append((t, e.value, e.uncertainty))
@@ -171,4 +180,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         "K": float(est_hi.K),
         "prune": float(est_hi.prune),
     }
+    log.debug("bowen_dimension %s: %d of %d pairs solved; children table "
+              "holds %d targets, %d roots", params, children.pairs_solved,
+              children.pairs_requested, len(children.entries), children.roots)
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

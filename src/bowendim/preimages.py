@@ -22,8 +22,8 @@ Every step is per target, so a large call is solved in contiguous blocks of
 targets on one process-wide thread pool (``defaults.default_threads()``
 workers; numpy releases the GIL in its kernels) and the blocks are joined in
 target order.  The structural cutoff k_secondary is fixed once per call from
-every target.  Only the main thread fans out: sweep cells and the pool's own
-workers solve their calls as one block.  The output bits depend neither on
+every target.  Only the main thread fans out: other threads (sweep cells)
+solve the same bounded blocks in turn.  The output bits depend neither on
 the blocks nor on the thread count.
 """
 
@@ -137,6 +137,11 @@ def k_secondary(a, max_abs_rhs):
     return max(k_left, k_fold, 3)
 
 
+def call_k_secondary(a, rhs_base):
+    """The structural cutoff of one solve, fixed from every target's rhs."""
+    return k_secondary(a, float(np.max(np.abs(rhs_base))) if rhs_base.size else 0.0)
+
+
 def _grid_seeds(a, spacing, re_lo=None, re_hi=None):
     re_lo = -2.0 * (a + 1) - 2.0 if re_lo is None else re_lo
     re_hi = defaults.M0 if re_hi is None else re_hi
@@ -197,15 +202,19 @@ def _one_k_per_cell(a, max_abs_ex, radius, tol):
 
 def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
                           tol=defaults.TOL, fast_iters=12, robust_iters=40,
-                          dense_spacing=None, dense_k=None, track_misses=False):
+                          dense_spacing=None, dense_k=None, track_misses=False,
+                          k_sec=None):
     """Solve a*x - e^x = rhs_base[i] + 2*pi*i*k for the given (i, k) pairs.
 
     Returns (i, k, x, e^x[, miss_i, miss_k]) flat arrays of validated strip
     roots, deduplicated per target and re-indexed after canonicalisation.
     ``kmax_by_i`` bounds the lift indices kept per target.  Robust seeds are
-    added for |k| up to the structural cutoff, computed once from every
-    target; a dense rectangular grid (module-grade completeness) is added
-    when dense_spacing is given.
+    added for |k| up to the structural cutoff ``k_sec``, by default computed
+    once from every target (``call_k_secondary``); a caller that solves a
+    subset of a larger call's targets pins the larger call's cutoff, and
+    then gets that call's output for each of its targets.  A dense
+    rectangular grid (module-grade completeness) is added when
+    dense_spacing is given.
 
     Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; a table
     over the slots stands in for sorting in the dedupe and the miss check.
@@ -213,9 +222,10 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     preimage_arrays builds them.
 
     A large call whose pair_i is non-decreasing is solved in contiguous
-    target blocks on the solver pool when called from the main thread; the
-    blocks are joined in target order and the miss check runs once over the
-    whole call.  The output is bit-identical for any blocks and threads.
+    target blocks, on the solver pool when called from the main thread and
+    in turn on the calling thread otherwise; the blocks are joined in target
+    order and the miss check runs once over the whole call.  The output is
+    bit-identical for any blocks and threads.
     """
     rhs_base = np.asarray(rhs_base, dtype=np.complex128)
     pair_i = np.asarray(pair_i, dtype=np.int64)
@@ -223,7 +233,8 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     if tol <= 0:
         raise InvalidTol(f"tol must be positive, got {tol}")
     a = int(a)
-    k_sec = k_secondary(a, float(np.max(np.abs(rhs_base))) if rhs_base.size else 0.0)
+    if k_sec is None:
+        k_sec = call_k_secondary(a, rhs_base)
     kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
     radius = defaults.DEDUP_FACTOR * tol
     ends = np.cumsum(2 * kmax_arr + 1)
@@ -252,7 +263,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
 
     cuts = _block_cuts(pair_i)
     spans = list(zip(cuts[:-1], cuts[1:]))
-    pool = _solver_pool()[0] if len(spans) > 1 else None
+    pool = _solver_pool()[0] if len(spans) > 1 and _on_main_thread() else None
     if pool is None:
         parts = [block(lo, hi) for lo, hi in spans]
     else:
@@ -275,8 +286,8 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     return is_, ks, xc, ex, fi[~found], fk[~found]
 
 
-# A call of at least _SPLIT_PAIRS pairs gets one target block per worker, or
-# more so that no block exceeds _BLOCK_PAIRS pairs.
+# A call of at least _SPLIT_PAIRS pairs gets blocks of at most _BLOCK_PAIRS
+# pairs, and on the main thread at least one block per worker.
 _SPLIT_PAIRS = 8_192
 _BLOCK_PAIRS = 32_768
 
@@ -290,21 +301,28 @@ def _solver_pool():
     return pool, workers
 
 
+def _on_main_thread():
+    return threading.current_thread() is threading.main_thread()
+
+
 def _block_cuts(pair_i):
     """Pair offsets [0, ..., n] of contiguous target blocks, balanced by pairs.
 
-    One block unless the call is large, pair_i is non-decreasing and the
-    caller is the main thread: other threads (sweep cells, pool workers)
-    must neither oversubscribe the cores nor wait on the pool they run in.
+    One block unless the call is large and pair_i is non-decreasing.  Other
+    threads than the main one (sweep cells, pool workers) get blocks of at
+    most _BLOCK_PAIRS pairs, which bounds their temporaries, and solve them
+    in turn: they must neither oversubscribe the cores nor wait on the pool
+    they run in.
     """
     n = pair_i.size
-    if (n < _SPLIT_PAIRS or threading.current_thread() is not threading.main_thread()
-            or np.any(pair_i[1:] < pair_i[:-1])):
+    if n < _SPLIT_PAIRS or np.any(pair_i[1:] < pair_i[:-1]):
         return [0, n]
     starts = np.flatnonzero(np.diff(pair_i)) + 1
     if not starts.size:  # one target never splits, so it makes no pool
         return [0, n]
-    n_blocks = max(_solver_pool()[1], -(-n // _BLOCK_PAIRS))
+    n_blocks = -(-n // _BLOCK_PAIRS)
+    if _on_main_thread():
+        n_blocks = max(_solver_pool()[1], n_blocks)
     bounds = np.concatenate(([0], starts, [n]))
     want = np.arange(1, n_blocks) * n // n_blocks
     hi = np.searchsorted(bounds, want)
@@ -385,11 +403,12 @@ def _uniform_pairs(n_targets, kmax):
 
 
 def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
-                    dense_spacing=None, track_misses=False):
+                    dense_spacing=None, track_misses=False, k_sec=None):
     """Flat preimage enumeration used by the transfer machinery.
 
     targets: complex array of canonical cylinder points.
     kmax: scalar or per-target truncation half-width.
+    k_sec: the structural cutoff to pin (see solve_strip_equations).
     Returns (parent_index, k, x, f'(x)) plus miss pairs when requested.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
@@ -397,7 +416,7 @@ def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
     rhs = targets - params.affine_term
     out = solve_strip_equations(params.ell, rhs, pair_i, pair_k, kmax_arr,
                                 tol=tol, dense_spacing=dense_spacing,
-                                track_misses=track_misses)
+                                track_misses=track_misses, k_sec=k_sec)
     if track_misses:
         is_, ks, xc, ex, mi, mk = out
         return is_, ks, xc, params.ell - ex, mi, mk

@@ -18,6 +18,11 @@ runtime probe estimate; both are heuristic and reported as such.  The
 probe's geometry (points and |F'| of a small preimage tree) does not depend
 on t: it is built once per parameter, and only its weights are evaluated
 per t.
+
+Children are solved once per Bowen solve: the trees grown for different t
+share their nodes' branch equations, and a ChildTable handed down from
+bowen_dimension keeps each solved target's roots and |F'| for the next tree
+that reaches the same target with the same truncation.
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ import numpy as np
 from . import defaults
 from .cylinder import TWO_PI, CylinderPoint, MapParams, canonical, cylinder_distance
 from .errors import NumericsError, TNotSummable
-from .preimages import (_dedupe_sorted, fixed_points, preimage_arrays,
-                        preimages, tail_bound_value, tail_weight_bound)
+from .preimages import (_dedupe_sorted, call_k_secondary, fixed_points,
+                        preimage_arrays, preimages, tail_bound_value,
+                        tail_weight_bound)
 
 log = logging.getLogger(__name__)
 
@@ -138,6 +144,82 @@ def _sup_l1(params: MapParams, t: float, k_probe: int = 256) -> float:
 
 # ------------------------------------------------------------- tree builder
 
+class ChildTable:
+    """The children of every target solved during one Bowen solve.
+
+    The trees of one Bowen solve differ in t, but their nodes keep solving
+    the same branch equations; only the weights |F'|^-t change.  One
+    target's solve output (its roots in (real, imag) order and its missed k
+    in ascending order) is a pure function of (ell, tol, k_sec, the target's
+    bits, kmax), so the table maps that key to what _grow reads of it: the
+    lift index (int16, as |k| <= K <= 16384), the root, |F'| and the missed
+    k, as one target's slice of its solve's compact columns.  The target is
+    keyed by its raw bits, as +0.0 and -0.0 lie on opposite sides of Log's
+    branch cut.  A solve stores nothing once the table holds `limit` roots
+    (the node budget of the tree being grown), so the table exceeds it by
+    at most one chunk's roots; lookups go on, and the output bits do not
+    depend on what is cached.
+    """
+
+    def __init__(self):
+        self.entries = {}
+        self.roots = 0
+        self.pairs_requested = 0
+        self.pairs_solved = 0
+
+    def solve(self, params, targets, kmax, tol, limit):
+        """preimage_arrays(params, targets, kmax, track_misses=True), with k
+        as int16 and |F'| in place of F', solving only the targets the table
+        does not hold.  The k, x and |F'| arrays may be read-only views."""
+        ell = params.ell
+        k_sec = call_k_secondary(ell, targets - params.affine_term)
+        bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
+        keys = [(ell, tol, k_sec, re, im, km)
+                for (re, im), km in zip(bits.tolist(), kmax.tolist())]
+        rows = [self.entries.get(key) for key in keys]
+        todo = [j for j, row in enumerate(rows) if row is None]
+        self.pairs_requested += int((2 * kmax + 1).sum())
+        if todo:
+            sub = np.array(todo)
+            self.pairs_solved += int((2 * kmax[sub] + 1).sum())
+            si, sk, sx, sd, smi, smk = preimage_arrays(
+                params, targets[sub], kmax[sub], tol=tol, track_misses=True,
+                k_sec=k_sec)
+            # what _grow reads, compact and read-only; a row is one target's
+            # slice of it
+            cols = (sk.astype(np.int16), sx, np.abs(sd), smk.astype(np.int16))
+            for col in cols:
+                col.flags.writeable = False
+            cut = np.searchsorted(si, np.arange(sub.size + 1)).tolist()
+            mcut = np.searchsorted(smi, np.arange(sub.size + 1)).tolist()
+            del si, sk, sd, smi, smk
+            store = self.roots < limit
+            for r, j in enumerate(todo):
+                rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1])
+                if store and keys[j] not in self.entries:
+                    self.entries[keys[j]] = rows[j]
+                    self.roots += cut[r + 1] - cut[r]
+        # consecutive rows of one solve are read as one slice, and a chunk
+        # read as one slice is not copied
+        runs = []
+        for cols, lo, hi, mlo, mhi in rows:
+            if runs and runs[-1][0] is cols and runs[-1][2] == lo \
+                    and runs[-1][4] == mlo:
+                runs[-1][2], runs[-1][4] = hi, mhi
+            else:
+                runs.append([cols, lo, hi, mlo, mhi])
+
+        def column(c, lo, hi):  # run[lo]:run[hi] bounds column c's slice
+            parts = [run[0][c][run[lo]:run[hi]] for run in runs]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        index = np.arange(len(rows))
+        return (np.repeat(index, [hi - lo for _, lo, hi, _, _ in rows]),
+                column(0, 1, 2), column(1, 1, 2), column(2, 1, 2),
+                np.repeat(index, [mhi - mlo for _, _, _, mlo, mhi in rows]),
+                column(3, 3, 4).astype(np.int64))
+
+
 @dataclass
 class _Levels:
     """Raw result of one breadth-first expansion."""
@@ -229,7 +311,8 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
     return p, keep, kmax
 
 
-def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL):
+def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
+          children=None):
     if t <= 1.0:
         raise TNotSummable(t)
     if n < 1:
@@ -268,6 +351,9 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL)
 
         value = 0.0
         dust = 0.0
+        n_children = 0
+        # the last level's children are only counted, unless nodes are kept
+        store = depth < n or keep_nodes
         outs = []
         start = 0
         counts = 2 * kk + 1
@@ -277,9 +363,14 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL)
                                      + _PAIR_CHUNK, side="left")) + 1
             hi = max(hi, start + 1)
             sl = slice(start, min(hi, xk.size))
-            ci, ck, cx, cd, mi, mk = preimage_arrays(
-                params, xk[sl], kk[sl], tol=tol, track_misses=True)
-            cw = wk[sl][ci] * np.abs(cd) ** (-t)
+            if children is None:
+                ci, ck, cx, cd, mi, mk = preimage_arrays(
+                    params, xk[sl], kk[sl], tol=tol, track_misses=True)
+                cdabs = np.abs(cd)
+            else:
+                ci, ck, cx, cdabs, mi, mk = children.solve(
+                    params, xk[sl], kk[sl], tol, lv.budget)
+            cw = wk[sl][ci] * cdabs ** (-t)
             if mi.size:
                 lv.misses += int(mi.size)
                 est = wk[sl][mi] * (TWO_PI * np.abs(mk) / defaults.C_GEO) ** (-t)
@@ -287,25 +378,27 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL)
             value += float(cw.sum())
             keep_c = cw >= p_abs * 0.25
             dust += float(cw[~keep_c].sum())
-            outs.append((kept_idx[ci[keep_c] + sl.start], ck[keep_c],
-                         cx[keep_c], np.abs(cd[keep_c]), cw[keep_c]))
+            n_children += int(keep_c.sum())
+            if store:
+                outs.append((kept_idx[ci[keep_c] + sl.start],
+                             ck[keep_c].astype(np.int64, copy=False),
+                             cx[keep_c], cdabs[keep_c], cw[keep_c]))
             start = sl.stop
         lv.values.append(value)
         lv.parent_cuts.append(parent_cut)
         lv.tail_cuts.append(tail_cut)
         carry_cut = dust
 
-        cx = np.concatenate([o[2] for o in outs]) if outs else np.empty(0, complex)
-        cw = np.concatenate([o[4] for o in outs]) if outs else np.empty(0)
-        n_children = cx.size
         if lv.stored + n_children > lv.budget:
             lv.budget_exceeded = True
             if keep_nodes:
                 lv.nodes.append(None)
-            x = np.empty(0, complex)
-            w = np.empty(0)
             break
         lv.stored += n_children
+        if not store:
+            break
+        cx = np.concatenate([o[2] for o in outs]) if outs else np.empty(0, complex)
+        cw = np.concatenate([o[4] for o in outs]) if outs else np.empty(0)
         if keep_nodes:
             lv.nodes.append(LevelNodes(
                 cx, np.concatenate([o[1] for o in outs]) if outs else np.empty(0, np.int64),
@@ -318,9 +411,12 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL)
 
 def transfer_level_sums(params: MapParams, t: float, z, n: int,
                         K: int = defaults.K, prune: float = defaults.PRUNE,
-                        budget: int = defaults.NODE_BUDGET):
-    """S_0 .. S_n with error accounting, S_j = (truncated) L_t^j 1 (z)."""
-    lv = _grow(params, t, z, n, K, prune, budget)
+                        budget: int = defaults.NODE_BUDGET, *, children=None):
+    """S_0 .. S_n with error accounting, S_j = (truncated) L_t^j 1 (z).
+
+    ``children`` is a ChildTable shared by the trees of one Bowen solve.
+    """
+    lv = _grow(params, t, z, n, K, prune, budget, children=children)
     return lv.weighted(n)
 
 
@@ -385,7 +481,8 @@ def pressure_ratio(params: MapParams, t: float, z, n: int,
 
 def best_ratio_estimate(params: MapParams, t: float, z, n: int,
                         K: int = defaults.K, prune: float = defaults.PRUNE,
-                        budget: int = defaults.NODE_BUDGET) -> PressureEstimate:
+                        budget: int = defaults.NODE_BUDGET, *,
+                        children=None) -> PressureEstimate:
     """The ratio depth (2..n) with the smallest reported uncertainty.
 
     Early ratios carry power-iteration transient (drift), late ones carry
@@ -394,7 +491,8 @@ def best_ratio_estimate(params: MapParams, t: float, z, n: int,
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    S = transfer_level_sums(params, t, z, n, K, prune, budget)
+    S = transfer_level_sums(params, t, z, n, K, prune, budget,
+                            children=children)
     best = None
     for j in range(2, len(S)):
         est = _ratio_estimate(S, j, t, K, prune)

@@ -60,21 +60,18 @@ def dense_root_oracle(a, rhs, box, spacing=0.1, tol=1e-11, iters=150):
     resid = np.abs(a * xc - ex - (rhs + 2j * np.pi * kk))
     ok = resid < tol
     xc, kk = xc[ok], kk[ok]
-    # O(m^2) dedup in the cylinder metric
-    keep_x, keep_k = [], []
+    # O(m^2) dedup in the cylinder metric: each candidate is compared with
+    # every root kept before it, and the first of a cluster is kept
+    keep_x = np.empty(xc.size, dtype=complex)
+    keep_k = np.empty(xc.size, dtype=np.int64)
+    n_kept = 0
     for z, k in zip(xc, kk):
-        dup = False
-        for u in keep_x:
-            d = z - u
-            im = d.imag - TWO_PI * np.round(d.imag / TWO_PI)
-            if np.hypot(d.real, im) < 1e-7:
-                dup = True
-                break
-        if not dup:
-            keep_x.append(complex(z))
-            keep_k.append(int(k))
-    keep_x = np.array(keep_x, dtype=complex)
-    keep_k = np.array(keep_k, dtype=np.int64)
+        d = z - keep_x[:n_kept]
+        im = d.imag - TWO_PI * np.round(d.imag / TWO_PI)
+        if not np.any(np.hypot(d.real, im) < 1e-7):
+            keep_x[n_kept], keep_k[n_kept] = z, k
+            n_kept += 1
+    keep_x, keep_k = keep_x[:n_kept], keep_k[:n_kept]
     order = np.lexsort((keep_x.imag, keep_x.real, np.abs(keep_k)))
     return keep_x[order], keep_k[order]
 

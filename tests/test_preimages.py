@@ -372,6 +372,42 @@ def test_other_threads_solve_as_one_block(small_blocks, monkeypatch):
     _same_bits(out[0], ref)
 
 
+def test_worker_thread_solves_bounded_blocks_inline(small_blocks, monkeypatch):
+    # off the main thread a large call is cut into _BLOCK_PAIRS blocks too,
+    # which bounds its temporaries, and they run in turn on that thread
+    p = MapParams(2, 2.0)
+    targets = _seeded_targets(2, 6, 3)
+    ref = _one_block(lambda: preimage_arrays(p, targets, 200), monkeypatch)
+
+    def no_pool():
+        raise AssertionError("the solver pool was used off the main thread")
+
+    blocks = []
+    strip_candidates = preimages_mod._strip_candidates
+
+    def spy(*args, **kwargs):
+        blocks.append(threading.current_thread())
+        return strip_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(preimages_mod, "_solver_pool", no_pool)
+    monkeypatch.setattr(preimages_mod, "_strip_candidates", spy)
+    out, errors = [], []
+
+    def work():
+        try:
+            out.append(preimage_arrays(p, targets, 200))
+        except Exception as exc:  # reported from the main thread below
+            errors.append(exc)
+
+    th = threading.Thread(target=work)
+    th.start()
+    th.join(timeout=120)
+    assert not th.is_alive()
+    assert not errors, errors
+    assert len(blocks) > 1 and set(blocks) == {th}
+    _same_bits(out[0], ref)
+
+
 def test_bowen_dimension_independent_of_blocks(small_blocks, monkeypatch):
     p = MapParams(2, 2.0)
     rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)

@@ -1,4 +1,5 @@
 import cmath
+import importlib
 import math
 
 import numpy as np
@@ -10,9 +11,12 @@ from bowendim import (MapParams, apply_transfer, bowen_dimension,
                       periodic_points, pressure_ratio, transfer_level_sums,
                       zeta_pressure)
 from bowendim.errors import TNotSummable
-from bowendim.preimages import preimage_arrays, tail_bound_value
-from bowendim.transfer import _sup_l1, _sup_l1_probe, default_base_point
+from bowendim.preimages import call_k_secondary, preimage_arrays, tail_bound_value
+from bowendim.transfer import (ChildTable, _grow, _sup_l1, _sup_l1_probe,
+                               default_base_point)
 from oracles import preimage_oracle
+
+transfer_mod = importlib.import_module("bowendim.transfer")
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +237,148 @@ def test_sup_probe_built_once_per_parameter():
         np.add.at(sums, parent, np.abs(der) ** (-t))
         assert _sup_l1(p, t) == float(sums.max() + tail_bound_value(256, t))
     assert _sup_l1_probe.cache_info().misses == 1
+
+
+# ----------------------------------------------------------- children table
+
+def _tree_bits(lv):
+    """Every figure of a tree, with floats and arrays compared by their bits."""
+    nodes = [None if nd is None else
+             tuple(getattr(nd, f).tobytes() for f in ("x", "k", "parent", "dabs", "w"))
+             for nd in lv.nodes]
+    return (repr((lv.values, lv.parent_cuts, lv.tail_cuts, lv.misses,
+                  lv.stored, lv.budget_exceeded)), nodes)
+
+
+@pytest.fixture()
+def solved_pairs(monkeypatch):
+    """Pairs solved through transfer.preimage_arrays, one count per tree."""
+    counts = []
+    solve = transfer_mod.preimage_arrays
+
+    def spy(params, targets, kmax, **kwargs):
+        counts[-1] += int((2 * np.asarray(kmax) + 1).sum())
+        return solve(params, targets, kmax, **kwargs)
+
+    monkeypatch.setattr(transfer_mod, "preimage_arrays", spy)
+    return counts
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (3, 3.2 - 0.3j)])
+@pytest.mark.parametrize("K", [512, 4096])
+def test_child_table_trees_match_tableless(ell, c, K, solved_pairs):
+    p = MapParams(ell, c)
+    base = default_base_point(p)
+    table = ChildTable()
+    misses = 0
+    for t in (1.3, 1.45, 1.6, 1.9):
+        solved_pairs.append(0)
+        got = _grow(p, t, base, 3, K, 1e-9, 100_000, keep_nodes=True,
+                    children=table)
+        solved_pairs.append(0)
+        ref = _grow(p, t, base, 3, K, 1e-9, 100_000, keep_nodes=True)
+        assert _tree_bits(got) == _tree_bits(ref)
+        misses += got.misses
+        # without kept nodes the last level is only counted; all cached here
+        flat = _grow(p, t, base, 3, K, 1e-9, 100_000, children=table)
+        assert _tree_bits(flat)[0] == _tree_bits(ref)[0]
+    if K == 4096:  # the absolute residual gate rejects roots at |k| ~ 1,800+
+        assert misses > 0
+    with_table = solved_pairs[0::2]
+    # repeated targets within one tree are solved once as well
+    assert 0 < with_table[0] <= solved_pairs[1]
+    assert with_table[1] < with_table[0]
+    assert table.pairs_solved == sum(with_table)
+    assert table.pairs_requested == 2 * sum(solved_pairs[1::2])
+
+
+def _table_solve(table, p, targets, kmax, limit=10**9):
+    return table.solve(p, np.asarray(targets, dtype=complex),
+                       np.asarray(kmax, dtype=np.int64), 1e-11, limit)
+
+
+def _tableless(p, targets, kmax):
+    """What ChildTable.solve returns, from one table-less solve."""
+    ci, ck, cx, cd, mi, mk = preimage_arrays(
+        p, np.asarray(targets, dtype=complex), np.asarray(kmax, dtype=np.int64),
+        track_misses=True)
+    return ci, ck.astype(np.int16), cx, np.abs(cd), mi, mk
+
+
+def _same_bits(got, ref):
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+
+
+def test_child_table_key(solved_pairs):
+    # a target is solved again when kmax, k_secondary or its bits change
+    p = MapParams(2, 2.0)
+    table = ChildTable()
+    z = 0.3 + 1.1j
+    far = -40.0 + 0.5j  # a large |rhs| raises the call's k_secondary
+    assert (call_k_secondary(2, np.array([z, far]) - p.affine_term)
+            != call_k_secondary(2, np.array([z]) - p.affine_term))
+    on_axis, neg_zero = 2.0 + 0.0j, complex(2.0, -0.0)
+    calls = [([z], [40], 81), ([z], [40], 0), ([z], [41], 83),
+             ([z, z], [40, 41], 0), ([z, far], [40, 40], 162),
+             ([on_axis], [5], 11), ([neg_zero], [5], 11),
+             ([on_axis, neg_zero], [5, 5], 0)]
+    for targets, kmax, pairs in calls:
+        solved_pairs.append(0)
+        _same_bits(_table_solve(table, p, targets, kmax),
+                   _tableless(p, targets, kmax))
+        assert solved_pairs[-1] == pairs
+
+
+def test_child_table_pins_the_chunk_k_secondary(monkeypatch):
+    # a subset solved alone would get its own, smaller cutoff
+    p = MapParams(2, 2.0)
+    chunk = np.array([0.3 + 1.1j, -40.0 + 0.5j, 1.0 - 0.7j])
+    k_chunk = call_k_secondary(2, chunk - p.affine_term)
+    assert call_k_secondary(2, chunk[2:] - p.affine_term) != k_chunk
+    pinned = []
+    solve = transfer_mod.preimage_arrays
+
+    def spy(params, targets, kmax, **kwargs):
+        pinned.append((len(targets), kwargs["k_sec"]))
+        return solve(params, targets, kmax, **kwargs)
+
+    monkeypatch.setattr(transfer_mod, "preimage_arrays", spy)
+    table = ChildTable()
+    _table_solve(table, p, chunk[:2], [40, 40])
+    got = _table_solve(table, p, chunk, [40, 40, 40])
+    assert pinned == [(2, k_chunk), (1, k_chunk)]
+    _same_bits(got, _tableless(p, chunk, [40, 40, 40]))
+
+
+def test_child_table_bound_stops_inserts(solved_pairs):
+    # a solve stores its targets only while the table holds fewer roots
+    # than the limit; what is cached never changes the output
+    p = MapParams(2, 2.0)
+    first = np.array([0.3 + 1.1j, -1.0 - 2.0j])
+    second = np.array([2.0 + 0.2j, 4.0 - 3.0j])
+    kmax = np.array([30, 60])
+    for limit, stored, pairs in ((0, 0, [182] * 4), (1, 2, [182, 182, 0, 182]),
+                                 (10**9, 4, [182, 182, 0, 0])):
+        table = ChildTable()
+        solved_pairs.clear()
+        for targets in (first, second, first, second):
+            solved_pairs.append(0)
+            _same_bits(_table_solve(table, p, targets, kmax, limit),
+                       _tableless(p, targets, kmax))
+        assert len(table.entries) == stored and solved_pairs == pairs
+        assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
+
+
+def test_bowen_dimension_same_without_table(monkeypatch):
+    p = MapParams(2, 2.0)
+    rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
+    grow = transfer_mod._grow
+
+    def grow_without_table(*args, children=None, **kwargs):
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(transfer_mod, "_grow", grow_without_table)
+    ref = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
+    assert repr(rec) == repr(ref)
