@@ -30,19 +30,6 @@ from .transfer import default_base_point, pressure_ratio
 TAG_GRAY = {OrbitTag.ATTRACTED_TO_LOG_C: 220, OrbitTag.BAKER_ESCAPE: 160,
             OrbitTag.ESCAPE_PLUS_INFINITY: 90, OrbitTag.UNRESOLVED: 0}
 
-NATIVE_FORMAT = {"preimages": "csv", "pressure": "json", "dim": "json",
-                 "sweep": "csv", "classify": "pgm", "continue-orbit": "csv",
-                 "expansion": "json"}
-
-
-@dataclass(frozen=True)
-class ClassificationGrid:
-    """Orbit tags over a window (re_min, re_max) x the full strip."""
-
-    window: tuple
-    resolution: tuple  # (nx, ny)
-    cells: "np.ndarray"
-
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
 
@@ -102,7 +89,6 @@ class RunConfig:
     threads: int = 0  # 0 -> machine default
     seed_spacing: float = defaults.SEED_SPACING
     out: str = ""
-    fmt: str = ""
 
     def params(self) -> MapParams:
         return MapParams(self.ell, self.c)
@@ -114,7 +100,7 @@ class RunConfig:
 _CASTS = {
     "ell": int, "c": parse_complex, "t": float, "K": int, "n": int,
     "prune": float, "tol": float, "accuracy": float, "budget": lambda s: int(float(s)),
-    "threads": int, "seed_spacing": float, "out": str, "fmt": str,
+    "threads": int, "seed_spacing": float, "out": str,
 }
 
 
@@ -269,13 +255,11 @@ def cmd_classify(args):
         print(f"classify: bad --window/--res ({args.window!r}, {args.res!r})",
               file=sys.stderr)
         return 2
-    grid = ClassificationGrid(
-        (lo, hi), (nx, ny),
-        classify_window(params, lo, hi, nx, ny, args.max_iter, args.radius_eps))
+    cells = classify_window(params, lo, hi, nx, ny, args.max_iter,
+                            args.radius_eps)
     out = cfg.out or "classify.pgm"
-    render_grid(grid.cells, out)
-    total = grid.cells.size
-    frac = {tag.name.lower(): float((grid.cells == int(tag)).sum()) / total
+    render_grid(cells, out)
+    frac = {tag.name.lower(): float((cells == int(tag)).sum()) / cells.size
             for tag in OrbitTag}
     print("classify: " + " ".join(f"{k} {100 * v:.1f}%" for k, v in frac.items())
           + f" -> {out}")
@@ -356,9 +340,6 @@ def _add_common(sp, *knobs):
     for name in knobs:
         sp.add_argument("--" + name.replace("_", "-"), dest=name, type=_CASTS[name])
     sp.add_argument("--out", type=str)
-    sp.add_argument("--format", dest="fmt", type=str,
-                    choices=("csv", "json", "pgm"),
-                    help="output format (each subcommand has one native format)")
     sp.add_argument("--config", type=str, help="flat key=value config file")
 
 
@@ -446,12 +427,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(_merge_dashed_values(argv))
     try:
-        fmt = getattr(args, "fmt", None)
-        native = NATIVE_FORMAT[args.command]
-        if fmt and fmt != native:
-            print(f"{args.command}: only format {native!r} is supported",
-                  file=sys.stderr)
-            return 2
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -194,63 +194,19 @@ class OrbitClass:
     iterations_used: int
 
 
-def classify_orbit(params: MapParams, z, max_iter: int = defaults.MAX_ITER,
-                   radius_eps: float = defaults.RADIUS_EPS) -> OrbitClass:
-    """Fatou-trichotomy tag of a single orbit.
+def _classify(params: MapParams, z, max_iter, radius_eps):
+    """Fatou-trichotomy tags of the orbits of the points z (a flat complex128
+    array, iterated in place), and the number of map steps each orbit took
+    before its tag was decided (max_iter for an orbit left unresolved).
 
-    Attracted once the orbit enters the radius_eps neighbourhood of log(c);
-    Baker escape once Re < -2*ell (that half plane lies in the invariant
-    Baker domain); escape to +infinity once Re exceeds the escape threshold
-    and keeps growing for a confirmation window.  Unresolved otherwise.
+    The rules are checked in this order at every iterate: a NaN coordinate
+    leaves the orbit unresolved; Re < -2*ell (that half plane lies in the
+    invariant Baker domain) is a Baker escape; entering the radius_eps
+    neighbourhood of log(c) is attraction; Re above the escape threshold and
+    growing for ESCAPE_CONFIRM consecutive iterates is escape to +infinity.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if radius_eps <= 0:
-        raise ValueError("radius_eps must be positive")
-    target = canonical(params.log_c)
-    thresh = params.escape_threshold
-    baker = -2.0 * params.ell
-    w = canonical(_val(z))
-    streak = 0
-    prev_re = -math.inf
-    for it in range(max_iter + 1):
-        re = w.real
-        if math.isnan(re) or math.isnan(w.imag):
-            return OrbitClass(OrbitTag.UNRESOLVED, it)
-        if re < baker:
-            return OrbitClass(OrbitTag.BAKER_ESCAPE, it)
-        if math.isfinite(re) and math.isfinite(w.imag) \
-                and cylinder_distance(w, target) < radius_eps:
-            return OrbitClass(OrbitTag.ATTRACTED_TO_LOG_C, it)
-        if re > thresh and re > prev_re:
-            streak += 1
-            if streak >= defaults.ESCAPE_CONFIRM:
-                return OrbitClass(OrbitTag.ESCAPE_PLUS_INFINITY, it)
-        else:
-            streak = 0
-        prev_re = re
-        if it < max_iter:
-            w = evaluate(params, w)
-    return OrbitClass(OrbitTag.UNRESOLVED, max_iter)
-
-
-def classify_window(params: MapParams, re_min: float, re_max: float,
-                    nx: int, ny: int, max_iter: int = defaults.MAX_ITER,
-                    radius_eps: float = defaults.RADIUS_EPS):
-    """Vectorised classifier over a window (re_min, re_max) x full strip.
-
-    Returns an int8 array of OrbitTag values, shape (ny, nx); rows run from
-    Im = +pi down to -pi (image orientation).  Cell centres are sampled.
-    Decision rules match classify_orbit exactly.
-    """
-    if nx < 1 or ny < 1:
-        raise ValueError("resolution must be positive")
-    res = np.linspace(re_min, re_max, nx, endpoint=False) + (re_max - re_min) / (2 * nx)
-    ims = math.pi - (np.arange(ny) + 0.5) * TWO_PI / ny
-    z = res[None, :] + 1j * ims[:, None]
-    z = z.astype(np.complex128)
-
     tags = np.full(z.shape, int(OrbitTag.UNRESOLVED), dtype=np.int8)
+    used = np.zeros(z.shape, dtype=np.int64)
     active = np.ones(z.shape, dtype=bool)
     streak = np.zeros(z.shape, dtype=np.int16)
     prev_re = np.full(z.shape, -np.inf)
@@ -281,8 +237,41 @@ def classify_window(params: MapParams, re_min: float, re_max: float,
             active &= ~esc_mask
             prev_re = re.copy()
             if it < max_iter and active.any():
-                z[active] = evaluate(params, z[active])
-    return tags
+                live = np.flatnonzero(active)
+                z[live] = evaluate(params, z[live])
+                used[live] += 1
+    return tags, used
+
+
+def classify_orbit(params: MapParams, z, max_iter: int = defaults.MAX_ITER,
+                   radius_eps: float = defaults.RADIUS_EPS) -> OrbitClass:
+    """Fatou-trichotomy tag of a single orbit, with the number of map steps
+    taken before it was decided (the rules are documented at _classify)."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if radius_eps <= 0:
+        raise ValueError("radius_eps must be positive")
+    tags, used = _classify(params, np.array([canonical(_val(z))]), max_iter,
+                           radius_eps)
+    return OrbitClass(OrbitTag(int(tags[0])), int(used[0]))
+
+
+def classify_window(params: MapParams, re_min: float, re_max: float,
+                    nx: int, ny: int, max_iter: int = defaults.MAX_ITER,
+                    radius_eps: float = defaults.RADIUS_EPS):
+    """Orbit tags over a window (re_min, re_max) x full strip.
+
+    Returns an int8 array of OrbitTag values, shape (ny, nx); rows run from
+    Im = +pi down to -pi (image orientation).  Cell centres are sampled and
+    classified by the rules of classify_orbit.
+    """
+    if nx < 1 or ny < 1:
+        raise ValueError("resolution must be positive")
+    res = np.linspace(re_min, re_max, nx, endpoint=False) + (re_max - re_min) / (2 * nx)
+    ims = math.pi - (np.arange(ny) + 0.5) * TWO_PI / ny
+    z = res[None, :] + 1j * ims[:, None]
+    tags, _ = _classify(params, z.ravel(), max_iter, radius_eps)
+    return tags.reshape(ny, nx)
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ class ContinuationTrack:
     start: PeriodicPoint
 
 
-def _orbit_derivatives(params, z, period, use_unit_d1f=False):
-    """(D1F^n, D2F^n) at z for the period-n return map."""
-    q = 1.0 + 0.0j if use_unit_d1f else param_derivative(params)
+def _orbit_derivatives(params, z, period):
+    """(D1F^n, D2F^n, F^n(z)) at z for the period-n return map."""
+    q = param_derivative(params)
     d1 = 0.0 + 0.0j
     d2 = 1.0 + 0.0j
     w = z
@@ -55,17 +55,13 @@ def _orbit_derivatives(params, z, period, use_unit_d1f=False):
         d1 = q + fp * d1
         d2 *= fp
         w = evaluate(params, w)
-    return d1, d2
+    return d1, d2, w
 
 
 def _newton_periodic(params, z, period, tol, iters=30):
     """Newton on F^period(x) - x over the cylinder; returns (z, residual)."""
     for _ in range(iters):
-        w = z
-        d2 = 1.0 + 0.0j
-        for _ in range(period):
-            d2 *= complex(derivative(params, w))
-            w = evaluate(params, w)
+        _, d2, w = _orbit_derivatives(params, z, period)
         rr = complex(w) - complex(z)
         rr -= TWO_PI * 1j * round(rr.imag / TWO_PI)
         denom = d2 - 1.0
@@ -80,16 +76,12 @@ def _newton_periodic(params, z, period, tol, iters=30):
 
 
 def _orbit_end(params, z, period):
-    w = z
-    for _ in range(period):
-        w = evaluate(params, w)
-    return w
+    return _orbit_derivatives(params, z, period)[2]
 
 
 def continue_periodic(params0: MapParams, p: PeriodicPoint, path,
                       tol: float = defaults.TOL, *,
-                      max_step: float = defaults.MAX_STEP_C,
-                      use_unit_d1f: bool = False) -> ContinuationTrack:
+                      max_step: float = defaults.MAX_STEP_C) -> ContinuationTrack:
     """Predictor-corrector continuation of a periodic point along c-values.
 
     The predictor moves z by h'(c) * dc with h' = D1F^n / (1 - D2F^n); the
@@ -115,7 +107,7 @@ def continue_periodic(params0: MapParams, p: PeriodicPoint, path,
             dc = dc_full / n_sub
             accepted = False
             for _ in range(defaults.STEP_HALVINGS + 1):
-                d1, d2 = _orbit_derivatives(params, z, period, use_unit_d1f)
+                d1, d2, _ = _orbit_derivatives(params, z, period)
                 if abs(1.0 - d2) < defaults.DENOM_GUARD:
                     raise DenominatorNearOne(
                         f"|1 - (F^n)'| = {abs(1.0 - d2):.2e} at c={c}",
@@ -126,7 +118,7 @@ def continue_periodic(params0: MapParams, p: PeriodicPoint, path,
                 z_pred = canonical(complex(z) + hprime * dc)
                 z_new, resid = _newton_periodic(params_try, z_pred, period, tol)
                 if resid < tol and cylinder_distance(z_new, z) < 1.0:
-                    _, mult = _orbit_derivatives(params_try, z_new, period)
+                    _, mult, _ = _orbit_derivatives(params_try, z_new, period)
                     if abs(mult) <= 1.0:
                         fail(f"tracked point stopped repelling at c={c_try}")
                     c, z, params = c_try, z_new, params_try

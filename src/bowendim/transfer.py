@@ -19,10 +19,12 @@ probe's geometry (points and |F'| of a small preimage tree) does not depend
 on t: it is built once per parameter, and only its weights are evaluated
 per t.
 
-Children are solved once per Bowen solve: the trees grown for different t
-share their nodes' branch equations, and a ChildTable handed down from
-bowen_dimension keeps each solved target's roots and |F'| for the next tree
-that reaches the same target with the same truncation.
+Every tree draws its children from a ChildTable, which keeps each solved
+target's roots and |F'| for the next node that reaches the same target with
+the same truncation.  bowen_dimension hands one table down to all of its
+trees, so the trees grown for different t share their nodes' branch
+equations; any other tree gets a table of its own, which still solves the
+base point's fixed-point preimage, found again at every level, only once.
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _sup_l1(params: MapParams, t: float, k_probe: int = 256) -> float:
 # ------------------------------------------------------------- tree builder
 
 class ChildTable:
-    """The children of every target solved during one Bowen solve.
+    """The children of every target solved during one Bowen solve or tree.
 
     The trees of one Bowen solve differ in t, but their nodes keep solving
     the same branch equations; only the weights |F'|^-t change.  One
@@ -323,6 +325,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError("prune must be >= 0")
     base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
     k_lo = min(defaults.k_min(params.ell, params.c), K)
+    children = children or ChildTable()
 
     lv = _Levels(params, t, base, K, prune, int(budget))
     x = np.array([base], dtype=np.complex128)
@@ -363,13 +366,8 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
                                      + _PAIR_CHUNK, side="left")) + 1
             hi = max(hi, start + 1)
             sl = slice(start, min(hi, xk.size))
-            if children is None:
-                ci, ck, cx, cd, mi, mk = preimage_arrays(
-                    params, xk[sl], kk[sl], tol=tol, track_misses=True)
-                cdabs = np.abs(cd)
-            else:
-                ci, ck, cx, cdabs, mi, mk = children.solve(
-                    params, xk[sl], kk[sl], tol, lv.budget)
+            ci, ck, cx, cdabs, mi, mk = children.solve(
+                params, xk[sl], kk[sl], tol, lv.budget)
             cw = wk[sl][ci] * cdabs ** (-t)
             if mi.size:
                 lv.misses += int(mi.size)
@@ -414,7 +412,8 @@ def transfer_level_sums(params: MapParams, t: float, z, n: int,
                         budget: int = defaults.NODE_BUDGET, *, children=None):
     """S_0 .. S_n with error accounting, S_j = (truncated) L_t^j 1 (z).
 
-    ``children`` is a ChildTable shared by the trees of one Bowen solve.
+    ``children`` is a ChildTable shared by the trees of one Bowen solve;
+    without it the tree gets a table of its own.
     """
     lv = _grow(params, t, z, n, K, prune, budget, children=children)
     return lv.weighted(n)
@@ -507,7 +506,7 @@ def _shadow_cycles(params, lv, n, tol):
     leaf = nodes[n]
     n_words = leaf.x.size
     if n_words == 0:
-        return (np.empty((n, 0), complex),) * 1
+        return np.empty((n, 0), complex)
     U = np.empty((n, n_words), dtype=np.complex128)
     L = np.empty((n, n_words), dtype=np.int64)
     idx = np.arange(n_words)

@@ -151,3 +151,42 @@ def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
     have = is_ * np.int64(1 << 22) + ks
     missed = ~np.isin(want, have)
     return (is_, ks, xc, a - ex, pair_i[fast][missed], pair_k[fast][missed]), cand
+
+
+def classify_orbit_reference(params, z, max_iter, radius_eps=0.05):
+    """(tag, iterations_used) of one orbit, by a plain scalar loop.
+
+    Attracted once the orbit enters the radius_eps neighbourhood of log(c);
+    Baker escape once Re < -2*ell; escape to +infinity once Re exceeds the
+    escape threshold and keeps growing for ESCAPE_CONFIRM iterates;
+    unresolved on a NaN coordinate or when max_iter runs out.
+    """
+    import math
+
+    from bowendim import OrbitTag, canonical, cylinder_distance, defaults, evaluate
+
+    target = canonical(params.log_c)
+    thresh = params.escape_threshold
+    baker = -2.0 * params.ell
+    w = canonical(complex(z))
+    streak = 0
+    prev_re = -math.inf
+    for it in range(max_iter + 1):
+        re = w.real
+        if math.isnan(re) or math.isnan(w.imag):
+            return OrbitTag.UNRESOLVED, it
+        if re < baker:
+            return OrbitTag.BAKER_ESCAPE, it
+        if math.isfinite(re) and math.isfinite(w.imag) \
+                and cylinder_distance(w, target) < radius_eps:
+            return OrbitTag.ATTRACTED_TO_LOG_C, it
+        if re > thresh and re > prev_re:
+            streak += 1
+            if streak >= defaults.ESCAPE_CONFIRM:
+                return OrbitTag.ESCAPE_PLUS_INFINITY, it
+        else:
+            streak = 0
+        prev_re = re
+        if it < max_iter:
+            w = evaluate(params, w)
+    return OrbitTag.UNRESOLVED, max_iter

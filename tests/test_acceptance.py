@@ -204,7 +204,7 @@ def test_continuation_suite(params22):
     fd_re = central_difference(tracked, c0, h)
     fd_im = central_difference(tracked, c0, 1j * h)
     cr = abs(fd_re - fd_im) / max(abs(fd_re), abs(fd_im))
-    d1, d2 = _orbit_derivatives(MapParams(2, c0), tracked(c0), 1)
+    d1, d2, _ = _orbit_derivatives(MapParams(2, c0), tracked(c0), 1)
     hp = d1 / (1 - d2)
     rel = abs(hp - fd_re) / abs(hp)
     ok = worst_res < 1e-9 and min_mult > 1 and rel < 1e-3 and cr < 1e-4

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from bowendim import (DimensionRecord, GridSpec, SweepGrid, cli, preimages,
                       pressure_ratio)
 from bowendim.cli import main, parse_complex, render_grid
 from bowendim.transfer import default_base_point
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_parse_complex():
@@ -127,6 +130,17 @@ def test_unknown_config_key_is_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_format_flag_and_key_are_usage_errors(tmp_path):
+    argv = ["preimages", "--ell", "2", "--c", "2+0i", "--w", "1+0i",
+            "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--format", "csv"])
+    assert e.value.code == 2
+    cfg = tmp_path / "fmt.cfg"
+    cfg.write_text("fmt = csv\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as e:
         main(["preimages", "--nonsense"])
@@ -225,3 +239,35 @@ def test_config_keys_still_accepted_by_dim(tmp_path, monkeypatch):
                "--out", str(tmp_path / "d.json")])
     assert rc == 0
     assert dims[-1][1]["budget"] == 9000
+
+
+def test_output_matches_golden_files(tmp_path):
+    """Fresh CLI output equals the files in tests/golden byte for byte.
+
+    The files pin the output bytes across changes meant to keep behaviour;
+    a change that is meant to move the numbers regenerates them with the
+    commands below and records the shift.
+    """
+    runs = {
+        "preimages.csv": ["preimages", "--ell", "2", "--c", "2+0i",
+                          "--w", "0.6931+0i", "--K", "25"],
+        "classify.pgm": ["classify", "--ell", "2", "--c", "2+0i",
+                         "--window=-6:6", "--res", "48x48",
+                         "--max-iter", "120"],
+        "pressure.json": ["pressure", "--ell", "2", "--c", "2+0i",
+                          "--t", "1.5", "--K", "64", "--n", "3"],
+        "continue_orbit_ell2.csv": ["continue-orbit", "--ell", "2",
+                                    "--c", "2+0i", "--c-end", "2+0.2i",
+                                    "--steps", "5"],
+        "continue_orbit_ell3.csv": ["continue-orbit", "--ell", "3",
+                                    "--c", "3+0i", "--c-end", "3+0.2i",
+                                    "--steps", "5"],
+    }
+    assert sorted(runs) == sorted(p.name for p in GOLDEN.iterdir())
+    differ = []
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        if out.read_bytes() != (GOLDEN / name).read_bytes():
+            differ.append(name)
+    assert differ == []

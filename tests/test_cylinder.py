@@ -9,7 +9,7 @@ from bowendim import (CylinderPoint, MapParams, OrbitTag, canonical,
                       derivative, evaluate, fixed_points, orbit_derivative,
                       orbit_derivative_parts, param_derivative)
 from conftest import random_disk_params
-from oracles import fixed_point_oracle
+from oracles import classify_orbit_reference, fixed_point_oracle
 
 TWO_PI = 2 * math.pi
 
@@ -129,14 +129,32 @@ def test_classify_critical_orbit():
         assert oc.tag == OrbitTag.ATTRACTED_TO_LOG_C
 
 
-def test_classify_window_matches_scalar(params22):
+def test_classify_window_matches_scalar(params22, base22):
+    # both entry points against a scalar loop: window tags, and the tag and
+    # iterations_used of every orbit
     tags = classify_window(params22, -5, 4, 12, 9, max_iter=60)
     res = np.linspace(-5, 4, 12, endpoint=False) + 9 / (2 * 12)
     ims = math.pi - (np.arange(9) + 0.5) * TWO_PI / 9
-    for j in range(9):
-        for i in range(12):
-            oc = classify_orbit(params22, complex(res[i], ims[j]), max_iter=60)
-            assert tags[j, i] == int(oc.tag)
+    starts = [complex(r, i) for i in ims for r in res]
+    for z, tag in zip(starts, tags.ravel()):
+        oc = classify_orbit(params22, z, max_iter=60)
+        assert (oc.tag, oc.iterations_used) == \
+            classify_orbit_reference(params22, z, 60)
+        assert tag == int(oc.tag)
+    # decided after >= 1 step: attracted, Baker escape (via Re ~ 44 and
+    # 5.6e17), NaN once the Re > 50 streak reached 2; the repelling base
+    # point stays unresolved until max_iter; a NaN start.  Escape to
+    # +infinity needs five growing iterates above Re = 50, which overflow
+    # to infinity first, so no start reaches it.
+    decided = {0.5 + 0.5j: (OrbitTag.ATTRACTED_TO_LOG_C, 3),
+               3.69 - 2.634j: (OrbitTag.BAKER_ESCAPE, 3),
+               51 + 3j: (OrbitTag.UNRESOLVED, 3),
+               base22: (OrbitTag.UNRESOLVED, 10),
+               complex(math.nan, 0.0): (OrbitTag.UNRESOLVED, 0)}
+    for z, want in decided.items():
+        assert classify_orbit_reference(params22, z, 10) == want
+        oc = classify_orbit(params22, z, max_iter=10)
+        assert (oc.tag, oc.iterations_used) == want
 
 
 def test_fixed_points_contract(params22):

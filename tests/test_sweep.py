@@ -51,7 +51,7 @@ def test_track_holomorphy_cauchy_riemann(params22, fp1):
 def test_track_derivative_formula_vs_central_difference(params22, fp1):
     c0, h = 2 + 0.15j, 1e-3
     z0 = _tracked_point(params22, fp1, c0)
-    d1, d2 = _orbit_derivatives(MapParams(2, c0), z0, 1)
+    d1, d2, _ = _orbit_derivatives(MapParams(2, c0), z0, 1)
     hp = d1 / (1 - d2)
     fd = central_difference(lambda c: _tracked_point(params22, fp1, c), c0, h)
     assert abs(hp - fd) / abs(hp) < 1e-3
@@ -62,7 +62,7 @@ def test_track_derivative_bound_from_expansion(params22, fp1):
     bound = 2 * est.kappa / (est.L * (est.kappa - 1)) * 1.5
     for c in (2 + 0.1j, 2 + 0.25j):
         z = _tracked_point(params22, fp1, c)
-        d1, d2 = _orbit_derivatives(MapParams(2, c), z, 1)
+        d1, d2, _ = _orbit_derivatives(MapParams(2, c), z, 1)
         assert abs(d1 / (1 - d2)) <= bound
 
 
@@ -70,13 +70,6 @@ def test_track_aborts_on_failure(params22, fp1):
     with pytest.raises(ContinuationError) as e:
         continue_periodic(params22, fp1, [2 + 0.3j], tol=1e-30)
     assert e.value.track is not None
-
-
-def test_unit_d1f_switch_changes_derivative(params22, fp1):
-    d1a, _ = _orbit_derivatives(params22, fp1.point.z, 1)
-    d1b, _ = _orbit_derivatives(params22, fp1.point.z, 1, use_unit_d1f=True)
-    assert d1a != d1b
-    assert d1b == pytest.approx(1.0)
 
 
 def test_expansion_constants(params22, fp1):

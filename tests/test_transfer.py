@@ -12,7 +12,8 @@ from bowendim import (MapParams, apply_transfer, bowen_dimension,
                       zeta_pressure)
 from bowendim.errors import TNotSummable
 from bowendim.preimages import call_k_secondary, preimage_arrays, tail_bound_value
-from bowendim.transfer import (ChildTable, _grow, _sup_l1, _sup_l1_probe,
+from bowendim.transfer import (ChildTable, LevelNodes, _grow, _Levels,
+                               _shadow_cycles, _sup_l1, _sup_l1_probe,
                                default_base_point)
 from oracles import preimage_oracle
 
@@ -276,7 +277,8 @@ def test_child_table_trees_match_tableless(ell, c, K, solved_pairs):
         got = _grow(p, t, base, 3, K, 1e-9, 100_000, keep_nodes=True,
                     children=table)
         solved_pairs.append(0)
-        ref = _grow(p, t, base, 3, K, 1e-9, 100_000, keep_nodes=True)
+        ref = _grow(p, t, base, 3, K, 1e-9, 100_000, keep_nodes=True,
+                    children=_Tableless())
         assert _tree_bits(got) == _tree_bits(ref)
         misses += got.misses
         # without kept nodes the last level is only counted; all cached here
@@ -297,12 +299,21 @@ def _table_solve(table, p, targets, kmax, limit=10**9):
                        np.asarray(kmax, dtype=np.int64), 1e-11, limit)
 
 
-def _tableless(p, targets, kmax):
+def _tableless(p, targets, kmax, tol=1e-11, solve=preimage_arrays):
     """What ChildTable.solve returns, from one table-less solve."""
-    ci, ck, cx, cd, mi, mk = preimage_arrays(
+    ci, ck, cx, cd, mi, mk = solve(
         p, np.asarray(targets, dtype=complex), np.asarray(kmax, dtype=np.int64),
-        track_misses=True)
+        tol=tol, track_misses=True)
     return ci, ck.astype(np.int16), cx, np.abs(cd), mi, mk
+
+
+class _Tableless:
+    """A ChildTable stand-in that solves every target it is asked for
+    through transfer.preimage_arrays and keeps nothing."""
+
+    def solve(self, params, targets, kmax, tol, limit):
+        return _tableless(params, targets, kmax, tol,
+                          transfer_mod.preimage_arrays)
 
 
 def _same_bits(got, ref):
@@ -377,8 +388,34 @@ def test_bowen_dimension_same_without_table(monkeypatch):
     grow = transfer_mod._grow
 
     def grow_without_table(*args, children=None, **kwargs):
-        return grow(*args, **kwargs)
+        return grow(*args, children=_Tableless(), **kwargs)
 
     monkeypatch.setattr(transfer_mod, "_grow", grow_without_table)
     ref = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
     assert repr(rec) == repr(ref)
+
+
+def test_tree_solves_a_repeated_target_once(solved_pairs):
+    # the base point is a repelling fixed point: its fixed-point preimage is
+    # found again, with the same bits, as a child of itself at every level
+    p = MapParams(3, 3.2 - 0.3j)
+    base = default_base_point(p)
+    solved_pairs.append(0)  # the sup probe's solves, not the tree's
+    _sup_l1(p, 1.3)
+    solved_pairs.append(0)
+    got = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000)
+    solved_pairs.append(0)
+    ref = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000,
+                              children=_Tableless())
+    assert solved_pairs[1:] == [88_520, 91_595]
+    assert repr(got) == repr(ref)
+
+
+def test_shadow_cycles_empty_leaf(params22):
+    lv = _Levels(params22, 1.5, 0j, 10, 0.0, 100)
+    empty = LevelNodes(np.empty(0, complex), np.empty(0, np.int64),
+                       np.empty(0, np.int64), np.empty(0), np.empty(0))
+    lv.nodes = [None, None, empty]
+    U = _shadow_cycles(params22, lv, 2, 1e-11)
+    assert isinstance(U, np.ndarray)
+    assert U.shape == (2, 0) and U.dtype == np.complex128
