@@ -196,18 +196,20 @@ class OrbitClass:
 
 def _classify(params: MapParams, z, max_iter, radius_eps):
     """Fatou-trichotomy tags of the orbits of the points z (a flat complex128
-    array, iterated in place), and the number of map steps each orbit took
+    array, left unchanged), and the number of map steps each orbit took
     before its tag was decided (max_iter for an orbit left unresolved).
 
-    The rules are checked in this order at every iterate: a NaN coordinate
-    leaves the orbit unresolved; Re < -2*ell (that half plane lies in the
-    invariant Baker domain) is a Baker escape; entering the radius_eps
-    neighbourhood of log(c) is attraction; Re above the escape threshold and
-    growing for ESCAPE_CONFIRM consecutive iterates is escape to +infinity.
+    Only the undecided orbits are iterated: after each iterate the decided
+    ones leave the working arrays.  The rules are checked in this order at
+    every iterate: a NaN coordinate leaves the orbit unresolved; Re < -2*ell
+    (that half plane lies in the invariant Baker domain) is a Baker escape;
+    entering the radius_eps neighbourhood of log(c) is attraction; Re above
+    the escape threshold and growing for ESCAPE_CONFIRM consecutive iterates
+    is escape to +infinity.
     """
     tags = np.full(z.shape, int(OrbitTag.UNRESOLVED), dtype=np.int8)
-    used = np.zeros(z.shape, dtype=np.int64)
-    active = np.ones(z.shape, dtype=bool)
+    used = np.full(z.shape, max_iter, dtype=np.int64)
+    idx = np.arange(z.size)
     streak = np.zeros(z.shape, dtype=np.int16)
     prev_re = np.full(z.shape, -np.inf)
 
@@ -217,29 +219,25 @@ def _classify(params: MapParams, z, max_iter, radius_eps):
 
     with np.errstate(all="ignore"):
         for it in range(max_iter + 1):
-            if not active.any():
-                break
             re = z.real
-            nan_mask = active & (np.isnan(re) | np.isnan(z.imag))
-            if nan_mask.any():
-                active &= ~nan_mask  # stays UNRESOLVED
-            baker_mask = active & (re < baker)
-            tags[baker_mask] = int(OrbitTag.BAKER_ESCAPE)
-            active &= ~baker_mask
-            att_mask = active & (cylinder_distance(z, target) < radius_eps)
-            tags[att_mask] = int(OrbitTag.ATTRACTED_TO_LOG_C)
-            active &= ~att_mask
-            grow = active & (re > thresh) & (re > prev_re)
-            streak[grow] += 1
-            streak[active & ~grow] = 0
-            esc_mask = active & (streak >= defaults.ESCAPE_CONFIRM)
-            tags[esc_mask] = int(OrbitTag.ESCAPE_PLUS_INFINITY)
-            active &= ~esc_mask
-            prev_re = re.copy()
-            if it < max_iter and active.any():
-                live = np.flatnonzero(active)
-                z[live] = evaluate(params, z[live])
-                used[live] += 1
+            nan_mask = np.isnan(z)  # stays UNRESOLVED
+            baker_mask = ~nan_mask & (re < baker)
+            att_mask = ~baker_mask & (cylinder_distance(z, target) < radius_eps)
+            open_ = ~(nan_mask | baker_mask | att_mask)
+            streak = np.where(open_ & (re > thresh) & (re > prev_re),
+                              streak + 1, 0)
+            esc_mask = open_ & (streak >= defaults.ESCAPE_CONFIRM)
+            tags[idx[baker_mask]] = int(OrbitTag.BAKER_ESCAPE)
+            tags[idx[att_mask]] = int(OrbitTag.ATTRACTED_TO_LOG_C)
+            tags[idx[esc_mask]] = int(OrbitTag.ESCAPE_PLUS_INFINITY)
+            live = open_ & ~esc_mask
+            if not live.all():
+                used[idx[~live]] = it
+                idx, z, re, streak = idx[live], z[live], re[live], streak[live]
+            if it == max_iter or not idx.size:
+                break
+            prev_re = re
+            z = evaluate(params, z)
     return tags, used
 
 

@@ -463,28 +463,48 @@ class Branch(NamedTuple):
     deriv: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreimageSet:
-    """Validated, branch-indexed preimages of one target point."""
+    """Validated, branch-indexed preimages of one target point.
+
+    The branches are held as three read-only arrays in branch order: the
+    lift indices, the roots as the solver canonicalised them, and F' there.
+    """
 
     target: CylinderPoint
-    branches: tuple
     K: int
     tol: float
-    misses: tuple = ()
-    derivative_bound_ok: bool = True
+    misses: tuple
+    derivative_bound_ok: bool
+    _ks: np.ndarray
+    _xs: np.ndarray
+    _derivs: np.ndarray
 
     def __len__(self):
-        return len(self.branches)
+        return self._ks.size
+
+    @property
+    def branches(self):
+        """The branches as Branch tuples, built on each read."""
+        return tuple(Branch(k, CylinderPoint.from_complex(x), d) for k, x, d in
+                     zip(self._ks.tolist(), self._xs.tolist(),
+                         self._derivs.tolist()))
 
     def points(self):
-        return np.array([b.x.z for b in self.branches], dtype=np.complex128)
+        """The roots as the points of branches hold them: CylinderPoint's Im
+        rule applied once to the solver's values (the rule can move a value
+        within an ulp of a strip edge again, so it is not applied twice)."""
+        xs = self._xs.copy()
+        # + 0.0 turns a shift of -0.0 into 0.0, so an Im of -0.0 stays -0.0
+        # as under math.ceil
+        xs.imag -= TWO_PI * (np.ceil((xs.imag - math.pi) / TWO_PI) + 0.0)
+        return xs
 
     def ks(self):
-        return np.array([b.k for b in self.branches], dtype=np.int64)
+        return self._ks.copy()
 
     def derivs(self):
-        return np.array([b.deriv for b in self.branches], dtype=np.complex128)
+        return self._derivs.copy()
 
 
 def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL,
@@ -512,13 +532,13 @@ def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL,
     if sel.any():
         bound_ok = bool(np.all(np.abs(ders[sel])
                                >= TWO_PI * np.abs(ks[sel]) / defaults.C_GEO))
-    branches = tuple(Branch(int(k), CylinderPoint.from_complex(x), complex(d))
-                     for k, x, d in zip(ks, xs, ders))
     miss = tuple(sorted(int(k) for k in mk))
     if miss:
         log.warning("preimages: no root found for branch indices %s", miss)
-    return PreimageSet(CylinderPoint.from_complex(wt), branches, int(K),
-                       float(tol), miss, bound_ok)
+    for col in (ks, xs, ders):
+        col.flags.writeable = False
+    return PreimageSet(CylinderPoint.from_complex(wt), int(K), float(tol), miss,
+                       bound_ok, ks, xs, ders)
 
 
 def _as_c(z):

@@ -325,6 +325,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError("prune must be >= 0")
     base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
     k_lo = min(defaults.k_min(params.ell, params.c), K)
+    own_table = children is None
     children = children or ChildTable()
 
     lv = _Levels(params, t, base, K, prune, int(budget))
@@ -355,8 +356,10 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         value = 0.0
         dust = 0.0
         n_children = 0
-        # the last level's children are only counted, unless nodes are kept
+        # the last level's children are only counted, unless nodes are kept;
+        # a table of this tree's own is never read after its last level
         store = depth < n or keep_nodes
+        limit = 0 if own_table and depth == n else lv.budget
         outs = []
         start = 0
         counts = 2 * kk + 1
@@ -367,7 +370,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
             hi = max(hi, start + 1)
             sl = slice(start, min(hi, xk.size))
             ci, ck, cx, cdabs, mi, mk = children.solve(
-                params, xk[sl], kk[sl], tol, lv.budget)
+                params, xk[sl], kk[sl], tol, limit)
             cw = wk[sl][ci] * cdabs ** (-t)
             if mi.size:
                 lv.misses += int(mi.size)

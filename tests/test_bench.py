@@ -1,0 +1,21 @@
+"""Smoke test of the benchmark harness against the library as it is."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bench_quick_branches_orbits_round():
+    # one quick round of the module-grade workload: breaks when a library
+    # API that bench/ uses changes shape
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "branches-orbits",
+         "--seed", "1", "--seconds", "0", "--quick"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 4

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from bowendim import (CylinderPoint, MapParams, OrbitTag, canonical,
-                      classify_orbit, classify_window, cylinder_distance,
+                      classify_orbit, classify_window, cylinder_distance, defaults,
                       derivative, evaluate, fixed_points, orbit_derivative,
                       orbit_derivative_parts, param_derivative)
+from bowendim.cylinder import _classify
 from conftest import random_disk_params
 from oracles import classify_orbit_reference, fixed_point_oracle
 
@@ -155,6 +156,36 @@ def test_classify_window_matches_scalar(params22, base22):
         assert classify_orbit_reference(params22, z, 10) == want
         oc = classify_orbit(params22, z, max_iter=10)
         assert (oc.tag, oc.iterations_used) == want
+
+
+def test_compacting_kernel_matches_reference_near_boundary(rng):
+    # near the disk boundary attraction to log c is slow, so the orbits of
+    # one window are decided at many different iterates and the kernel's
+    # working arrays shrink step by step
+    p = MapParams(3, 3 + 0.9j)
+    n, max_iter = 40, 200
+    tags = classify_window(p, -6, 6, n, n, max_iter=max_iter)
+    res = np.linspace(-6, 6, n, endpoint=False) + 12 / (2 * n)
+    ims = math.pi - (np.arange(n) + 0.5) * TWO_PI / n
+    starts = (res[None, :] + 1j * ims[:, None]).ravel()
+    want = [classify_orbit_reference(p, z, max_iter) for z in starts]
+    assert tags.ravel().tolist() == [int(tag) for tag, _ in want]
+    assert len({used for _, used in want}) >= 10
+    for j in rng.choice(starts.size, 60, replace=False):
+        oc = classify_orbit(p, starts[j], max_iter=max_iter)
+        assert (oc.tag, oc.iterations_used) == want[j]
+    # a row of NaN starts among the window's orbits: NaN in either
+    # coordinate, some with Re < -2*ell, which is no Baker escape then
+    row = n // 2
+    z = starts.copy()
+    z[row * n:(row + 1) * n] = [complex(math.nan, im) if i % 2 else
+                                complex(re - 3, math.nan)
+                                for i, (re, im) in enumerate(zip(res, ims))]
+    got_tags, got_used = _classify(p, z.copy(), max_iter, defaults.RADIUS_EPS)
+    want = [classify_orbit_reference(p, w, max_iter) for w in z]
+    assert want[row * n:(row + 1) * n] == [(OrbitTag.UNRESOLVED, 0)] * n
+    assert list(zip(got_tags.tolist(), got_used.tolist())) == \
+        [(int(tag), used) for tag, used in want]
 
 
 def test_fixed_points_contract(params22):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import importlib
 import math
 import os
@@ -48,6 +49,36 @@ def test_sorted_and_deduplicated(params22):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert cylinder_distance(pts[i], pts[j]) > 10 * ps.tol
+
+
+def test_preimage_set_contract(params22):
+    # a generic target, and a real one, which has roots on Im = 0 (k = 0) and
+    # on Im = pi (k = 1), the edge of the canonical strip
+    for w in (0.2 + 0.9j, 0.5 + 0j):
+        ps = preimages(params22, w, 40)
+        br = ps.branches
+        assert len(ps) == len(br) > 0
+        built = {"points": np.array([b.x.z for b in br], dtype=np.complex128),
+                 "ks": np.array([b.k for b in br], dtype=np.int64),
+                 "derivs": np.array([b.deriv for b in br], dtype=np.complex128)}
+        for name, want in built.items():
+            got = getattr(ps, name)()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            got[:] = 0  # a copy: the set is unchanged
+            assert getattr(ps, name)().tobytes() == want.tobytes()
+        assert [tuple(b) for b in ps.branches] == [tuple(b) for b in br]
+        # ordered by |k|, then by real part
+        ks, re = np.abs(built["ks"]), built["points"].real
+        assert np.all((ks[1:] > ks[:-1]) | ((ks[1:] == ks[:-1]) & (re[1:] >= re[:-1])))
+    # points() follows CylinderPoint's Im rule bit for bit on the strip
+    # edges too, and keeps the sign of an Im of -0.0
+    ims = [-0.0, 0.0, -math.pi, math.pi, np.nextafter(math.pi, 4.0)]
+    edge = dataclasses.replace(
+        ps, _ks=np.zeros(len(ims), dtype=np.int64),
+        _xs=np.array([complex(0.5, im) for im in ims]),
+        _derivs=np.ones(len(ims), dtype=np.complex128))
+    assert edge.points().tobytes() == \
+        np.array([b.x.z for b in edge.branches]).tobytes()
 
 
 def test_count_matches_dense_oracle(params22):

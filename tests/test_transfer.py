@@ -411,6 +411,26 @@ def test_tree_solves_a_repeated_target_once(solved_pairs):
     assert repr(got) == repr(ref)
 
 
+def test_own_table_stores_no_last_level_solve(params22, base, monkeypatch):
+    # a tree that owns its table never reads the last level's entries again;
+    # a shared table, which stores every level, gives the same sums
+    tables = []
+
+    class Recorded(ChildTable):
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(transfer_mod, "ChildTable", Recorded)
+    got = transfer_level_sums(params22, 1.5, base, 2, 64)
+    (own,) = tables
+    shared = ChildTable()
+    ref = transfer_level_sums(params22, 1.5, base, 2, 64, children=shared)
+    assert len(own.entries) == 1  # the base point, solved at level 1
+    assert len(shared.entries) > 1
+    assert repr(got) == repr(ref)
+
+
 def test_shadow_cycles_empty_leaf(params22):
     lv = _Levels(params22, 1.5, 0j, 10, 0.0, 100)
     empty = LevelNodes(np.empty(0, complex), np.empty(0, np.int64),
