@@ -116,9 +116,9 @@ def _sup_l1_probe(params: MapParams, k_probe: int = 256):
     point) and its first two preimage generations (the Julia set is backward
     invariant), so the estimate is not inflated by Fatou regions near the
     critical value.  Returns |F'| over every branch |k| <= k_probe of every
-    probe, grouped by probe, and the number of branches per probe; neither
-    depends on t.  One entry holds about half a million branches, hence the
-    small cache.
+    probe, grouped by probe, and each branch's probe index (int16: there are
+    about a thousand probes); neither depends on t.  One entry holds about
+    half a million branches, hence the small cache.
     """
     base = default_base_point(params)
     _, _, x1, _ = preimage_arrays(params, np.array([base]), 24)
@@ -126,21 +126,20 @@ def _sup_l1_probe(params: MapParams, k_probe: int = 256):
     probes = np.concatenate([[base], x1, x2])
     parent, _, _, der = preimage_arrays(params, probes, k_probe)
     dabs = np.abs(der)
-    counts = np.bincount(parent, minlength=probes.size)
+    parent = parent.astype(np.int16)
     dabs.flags.writeable = False
-    counts.flags.writeable = False
-    return dabs, counts
+    parent.flags.writeable = False
+    return dabs, parent
 
 
 def _sup_l1(params: MapParams, t: float, k_probe: int = 256) -> float:
     """Runtime estimate of sup of L_t 1 over the Julia set.
 
     The probe geometry comes from the per-parameter cache; only the weights
-    |F'|^-t are evaluated here, per t.
+    |F'|^-t are evaluated here, per t, and summed per probe in branch order.
     """
-    dabs, counts = _sup_l1_probe(params, k_probe)
-    sums = np.zeros(counts.size)
-    np.add.at(sums, np.repeat(np.arange(counts.size), counts), dabs ** (-t))
+    dabs, parent = _sup_l1_probe(params, k_probe)
+    sums = np.bincount(parent, weights=dabs ** (-t))
     return float(sums.max() + tail_bound_value(k_probe, t))
 
 
@@ -280,36 +279,99 @@ class LevelNodes:
     w: np.ndarray
 
 
+def _pair_count(w, t, K, k_lo, p):
+    """(pairs, km): the pairs that threshold p expands, counted exactly, and
+    every node's unclipped kmax (C/2pi)(w/p)^(1/t)."""
+    km = defaults.C_GEO / TWO_PI * (w / p) ** (1.0 / t)
+    keep = km >= k_lo
+    if not keep.any():
+        return 0, km
+    return float((2 * np.minimum(km[keep], K) + 1).sum()), km
+
+
+# Bounds on _pair_count(p) from u = w^(1/t), sorted, with eps = 2^-52.  A
+# kept node counts 2 c (w/p)^(1/t) + 1, which is also 2 u / s + 1 with
+# s = p^(1/t) / c; pow is within an ulp or two and every other operation
+# within half of one, so the two ways of rounding it differ by under 10 eps.
+# Both sums add non-negative terms by numpy's pairwise summation, in which no
+# term meets more than log2(n) + 19 additions, so each is within
+# (log2 n + 19) eps of its exact value: 1.3e-14 for a level of 2^40 nodes.
+# _MARGIN widens both bounds past the sum of the two errors.
+# The keep test c (w/p)^(1/t) >= k_lo is rounded within 2 eps of its exact
+# value, and the same test made on u within 4 eps, both measured in kmax; a
+# node within _BAND of k_lo may fall on either side of the test, so it
+# enters the upper bound only.
+_BAND = 1e-14
+_MARGIN = 1e-13
+
+
+def _pair_bounds(w, t, K, k_lo):
+    """bounds(p) -> (lo, hi) that enclose _pair_count's pairs at threshold p,
+    from one pow and one sort of the level; (0, inf) where some w / p is not
+    a finite float."""
+    c = defaults.C_GEO / TWO_PI
+    u = w ** (1.0 / t)
+    u.sort()
+    n, w_max = u.size, float(w.max())
+
+    def bounds(p):
+        if not (p > 0.0 and w_max / p < math.inf):
+            return 0.0, math.inf
+        s = p ** (1.0 / t) / c  # a node's kmax is u / s
+        # nodes a.. may be kept, nodes b.. are, nodes j.. are clipped at K
+        a, b, j = np.searchsorted(u, ((1.0 - _BAND) * k_lo * s,
+                                      (1.0 + _BAND) * k_lo * s, K * s)).tolist()
+
+        def pairs(i):  # nodes i.. kept
+            m = max(i, j)
+            return (n - m) * (2 * K + 1) + 2.0 * float(u[i:m].sum()) / s + (m - i)
+        return pairs(b) * (1.0 - _MARGIN), pairs(a) * (1.0 + _MARGIN)
+    return bounds
+
+
 def _choose_threshold(w, t, K, k_lo, p_floor, cap):
     """Smallest threshold >= p_floor whose expansion fits in `cap` pairs.
 
     A node of weight w gets kmax = clip((C/2pi)(w/p)^(1/t), k_lo, K) branches
-    and is dropped entirely when the unclipped value falls below k_lo.
+    and is dropped entirely when the unclipped value falls below k_lo.  The
+    threshold is the end of 60 geometric bisection steps; a step is decided
+    from _pair_bounds where they leave no doubt, and by the exact count
+    only where they straddle cap, so the result is the exact bisection's bit
+    for bit.
     """
     c = defaults.C_GEO / TWO_PI
-
-    def pair_count(p):
-        km = c * (w / p) ** (1.0 / t)
-        keep = km >= k_lo
-        if not keep.any():
-            return 0
-        km = np.minimum(km[keep], K)
-        return float((2 * km + 1).sum())
-
-    if pair_count(p_floor) <= cap:
+    count, km = _pair_count(w, t, K, k_lo, p_floor)
+    if count <= cap:
         p = p_floor
     else:
+        km = None  # from the exact count at hi, if hi had one
+        bounds = _pair_bounds(w, t, K, k_lo)
         lo, hi = p_floor, float(w.max()) * (k_lo / c) ** (-t) * 2.0
+        hi_decided = False
         for _ in range(60):
             mid = math.sqrt(lo * hi)
-            if pair_count(mid) > cap:
+            # lo is over cap and a decided hi is not, so a step onto either
+            # changes nothing, and neither does any step after it
+            if mid == lo or (mid == hi and hi_decided):
+                break
+            least, most = bounds(mid)
+            km_mid = None
+            if least > cap:
+                over = True
+            elif most <= cap:
+                over = False
+            else:
+                count, km_mid = _pair_count(w, t, K, k_lo, mid)
+                over = count > cap
+            if over:
                 lo = mid
             else:
-                hi = mid
+                hi, km, hi_decided = mid, km_mid, True
         p = hi
-    km_raw = c * (w / p) ** (1.0 / t)
-    keep = km_raw >= k_lo
-    kmax = np.minimum(np.maximum(km_raw, k_lo), K).astype(np.int64)
+        if km is None:
+            km = _pair_count(w, t, K, k_lo, p)[1]
+    keep = km >= k_lo
+    kmax = np.minimum(np.maximum(km, k_lo), K).astype(np.int64)
     return p, keep, kmax
 
 

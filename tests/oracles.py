@@ -3,7 +3,11 @@
 Everything here is plain numpy: dense rectangular Newton grids with the lift
 index frozen from each seed's image.  Used to audit the branch enumeration
 for completeness and to recompute transfer sums by direct double loops.
+The plain forms of routines the library has sped up are kept here too, as
+references that the fast versions must match bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -190,3 +194,46 @@ def classify_orbit_reference(params, z, max_iter, radius_eps=0.05):
         if it < max_iter:
             w = evaluate(params, w)
     return OrbitTag.UNRESOLVED, max_iter
+
+
+def pair_count_reference(w, t, K, k_lo, p):
+    """Pairs a level of weights w expands at threshold p: every node of
+    kmax = (C/2pi)(w/p)^(1/t) >= k_lo counts 2 min(kmax, K) + 1."""
+    from bowendim import defaults
+
+    km = defaults.C_GEO / TWO_PI * (w / p) ** (1.0 / t)
+    keep = km >= k_lo
+    if not keep.any():
+        return 0
+    km = np.minimum(km[keep], K)
+    return float((2 * km + 1).sum())
+
+
+def choose_threshold_reference(w, t, K, k_lo, p_floor, cap, steps=None):
+    """transfer._choose_threshold the plain way: 60 geometric bisection steps,
+    each recounting the pairs of the whole level with a fresh pow.
+
+    Returns (p, keep, kmax) as the library does, bit for bit; a list passed
+    as `steps` receives each bisection step's (mid, pairs).
+    """
+    from bowendim import defaults
+
+    c = defaults.C_GEO / TWO_PI
+    if pair_count_reference(w, t, K, k_lo, p_floor) <= cap:
+        p = p_floor
+    else:
+        lo, hi = p_floor, float(w.max()) * (k_lo / c) ** (-t) * 2.0
+        for _ in range(60):
+            mid = math.sqrt(lo * hi)
+            pairs = pair_count_reference(w, t, K, k_lo, mid)
+            if steps is not None:
+                steps.append((mid, pairs))
+            if pairs > cap:
+                lo = mid
+            else:
+                hi = mid
+        p = hi
+    km_raw = c * (w / p) ** (1.0 / t)
+    keep = km_raw >= k_lo
+    kmax = np.minimum(np.maximum(km_raw, k_lo), K).astype(np.int64)
+    return p, keep, kmax

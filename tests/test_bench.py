@@ -19,3 +19,16 @@ def test_bench_quick_branches_orbits_round():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 4
+
+
+def test_bench_quick_dim_base_round():
+    # one quick Bowen solve through the tree and threshold path, checked by
+    # the workload's own level-sum double loop
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "dim-base",
+         "--seed", "1", "--seconds", "0", "--quick"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

@@ -262,6 +262,8 @@ def test_output_matches_golden_files(tmp_path):
         "continue_orbit_ell3.csv": ["continue-orbit", "--ell", "3",
                                     "--c", "3+0i", "--c-end", "3+0.2i",
                                     "--steps", "5"],
+        "dim.json": ["dim", "--ell", "2", "--c", "2+0i", "--accuracy", "5e-2",
+                     "--budget", "50000"],
     }
     assert sorted(runs) == sorted(p.name for p in GOLDEN.iterdir())
     differ = []

@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 from bowendim import (MapParams, apply_transfer, bowen_dimension,
-                      conformal_atoms, cylinder_distance, eigenfunction_iterate,
-                      evaluate, fixed_points, iterate_transfer_one,
-                      periodic_points, pressure_ratio, transfer_level_sums,
-                      zeta_pressure)
+                      conformal_atoms, cylinder_distance, defaults,
+                      eigenfunction_iterate, evaluate, fixed_points,
+                      iterate_transfer_one, periodic_points, pressure_ratio,
+                      transfer_level_sums, zeta_pressure)
 from bowendim.errors import TNotSummable
 from bowendim.preimages import call_k_secondary, preimage_arrays, tail_bound_value
 from bowendim.transfer import (ChildTable, LevelNodes, _grow, _Levels,
                                _shadow_cycles, _sup_l1, _sup_l1_probe,
                                default_base_point)
-from oracles import preimage_oracle
+from oracles import (choose_threshold_reference, pair_count_reference,
+                     preimage_oracle)
 
 transfer_mod = importlib.import_module("bowendim.transfer")
 
@@ -439,3 +440,88 @@ def test_shadow_cycles_empty_leaf(params22):
     U = _shadow_cycles(params22, lv, 2, 1e-11)
     assert isinstance(U, np.ndarray)
     assert U.shape == (2, 0) and U.dtype == np.complex128
+
+
+# --------------------------------------------------------- threshold choice
+
+def _same_choice(got, ref):
+    """(p, keep, kmax) equal bit for bit, dtypes included."""
+    return (np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+            and all(g.dtype == r.dtype and g.tobytes() == r.tobytes()
+                    for g, r in zip(got[1:], ref[1:])))
+
+
+def test_threshold_matches_reference_in_a_bowen_solve(monkeypatch):
+    # every level of a real Bowen solve, and the exact count runs on fewer
+    # than half the steps of each bisection
+    choose, count = transfer_mod._choose_threshold, transfer_mod._pair_count
+    calls = []
+
+    def counted(*args):
+        calls[-1][2] += 1
+        return count(*args)
+
+    def spy(w, t, K, k_lo, p_floor, cap):
+        calls.append([None, [], 0])
+        got = choose(w, t, K, k_lo, p_floor, cap)
+        ref = choose_threshold_reference(w, t, K, k_lo, p_floor, cap, calls[-1][1])
+        calls[-1][0] = _same_choice(got, ref)
+        return got
+
+    monkeypatch.setattr(transfer_mod, "_pair_count", counted)
+    monkeypatch.setattr(transfer_mod, "_choose_threshold", spy)
+    bowen_dimension(MapParams(2, 2.0), 0.05, max_attempts=1, budget=50_000)
+    assert all(same for same, _, _ in calls)
+    bisecting = [(len(steps), exact) for _, steps, exact in calls if steps]
+    assert len(bisecting) >= 10
+    assert all(exact < steps / 2 for steps, exact in bisecting)
+
+
+def _threshold_levels():
+    """Seeded levels (w, t, K, k_lo, p_floor, cap), edge cases included."""
+    rng = np.random.default_rng(20261019)
+    c = defaults.C_GEO / (2 * math.pi)
+    t, K, k_lo, p_floor = 1.46, 2048, 10, 1e-12
+    logn = rng.lognormal(-12.0, 3.0, 20_000)
+    levels = {
+        "lognormal": (logn, t, K, k_lo, p_floor, 2e5),
+        "repeated": (rng.permutation(np.repeat(logn[:200], 50)), 1.2, 512,
+                     k_lo, p_floor, 5e4),
+        "one node": (np.array([0.3]), t, K, k_lo, p_floor, 4.0 * k_lo + 2),
+        "all clipped": (rng.uniform(0.5, 1.0, 300), 2.0, 64, k_lo, p_floor,
+                        300 * 129 - 1.0),
+        "none kept": (rng.uniform(0.0, 1e-12, 300), t, K, k_lo, p_floor, 100.0),
+        "zero weights": (np.where(rng.random(logn.size) < 0.3, 0.0, logn), t,
+                         K, k_lo, p_floor, 1e5),
+        "on the keep boundary at p_floor": (
+            rng.permutation(np.concatenate(
+                [np.full(50, p_floor * (k_lo / c) ** t), logn[:5000]])),
+            t, K, k_lo, p_floor, 3e4),
+        "cap the pairs at p_floor": (
+            logn, t, K, k_lo, p_floor,
+            pair_count_reference(logn, t, K, k_lo, p_floor)),
+    }
+    # caps met exactly at a bisection step, and caps that split one node's
+    # keep test, so that the bisection closes in on where that test flips
+    w = logn[:5000]
+    steps = []
+    choose_threshold_reference(w, t, K, k_lo, p_floor, 3e4, steps)
+    for s in (1, 3, 5, 8):
+        levels[f"cap the pairs at step {s}"] = (w, t, K, k_lo, p_floor, steps[s][1])
+    ws = np.sort(w)
+    for r in (30, 300, 2000):
+        flip = ws[-r] * (c / k_lo) ** t
+        dropped = pair_count_reference(w, t, K, k_lo, flip * (1 + 1e-9))
+        levels[f"cap split by the node of rank {r}"] = (
+            w, t, K, k_lo, p_floor, dropped + k_lo)
+    return levels
+
+
+_LEVELS = _threshold_levels()
+
+
+@pytest.mark.parametrize("name", sorted(_LEVELS))
+def test_threshold_matches_reference_on_seeded_levels(name):
+    w, t, K, k_lo, p_floor, cap = _LEVELS[name]
+    got = transfer_mod._choose_threshold(w, t, K, k_lo, p_floor, cap)
+    assert _same_choice(got, choose_threshold_reference(w, t, K, k_lo, p_floor, cap))
