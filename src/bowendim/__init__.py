@@ -11,8 +11,7 @@ from . import defaults, errors
 from .cylinder import (CylinderPoint, MapParams, OrbitClass, OrbitTag,
                        PeriodicPoint, canonical, classify_orbit,
                        classify_window, cylinder_distance, derivative,
-                       evaluate, orbit_derivative, orbit_derivative_parts,
-                       param_derivative)
+                       evaluate, orbit_derivative, param_derivative)
 from .preimages import (Branch, PreimageSet, TailBound, fixed_points,
                         inverse_branch, preimage_arrays, preimages,
                         tail_weight_bound)
@@ -20,8 +19,8 @@ from .transfer import (AtomicMeasure, FunctionSamples, PressureEstimate,
                        PressureMethod, WeightedValue, apply_transfer,
                        best_ratio_estimate, conformal_atoms,
                        default_base_point, eigenfunction_iterate,
-                       iterate_transfer_one, periodic_points, pressure_ratio,
-                       transfer_level_sums, zeta_pressure)
+                       periodic_points, pressure_ratio, transfer_level_sums,
+                       zeta_pressure)
 from .dimension import DimensionRecord, bowen_dimension, pressure
 from .sweep import (ContinuationTrack, ExpansionEstimate, GridSpec, SweepGrid,
                     continue_periodic, expansion_constants,
@@ -31,15 +30,14 @@ __all__ = [
     "defaults", "errors",
     "CylinderPoint", "MapParams", "OrbitClass", "OrbitTag", "PeriodicPoint",
     "canonical", "classify_orbit", "classify_window", "cylinder_distance",
-    "derivative", "evaluate", "orbit_derivative", "orbit_derivative_parts",
-    "param_derivative",
+    "derivative", "evaluate", "orbit_derivative", "param_derivative",
     "Branch", "PreimageSet", "TailBound", "fixed_points", "inverse_branch",
     "preimage_arrays", "preimages", "tail_weight_bound",
     "AtomicMeasure", "FunctionSamples", "PressureEstimate", "PressureMethod",
     "WeightedValue", "apply_transfer", "best_ratio_estimate",
     "conformal_atoms", "default_base_point", "eigenfunction_iterate",
-    "iterate_transfer_one", "periodic_points", "pressure_ratio",
-    "transfer_level_sums", "zeta_pressure",
+    "periodic_points", "pressure_ratio", "transfer_level_sums",
+    "zeta_pressure",
     "DimensionRecord", "bowen_dimension", "pressure",
     "ContinuationTrack", "ExpansionEstimate", "GridSpec", "SweepGrid",
     "continue_periodic", "expansion_constants", "smoothness_diagnostic",

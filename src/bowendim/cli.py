@@ -104,12 +104,11 @@ _CASTS = {
 }
 
 
-def merge_config(args, extra_keys=()) -> RunConfig:
+def merge_config(args) -> RunConfig:
     cfg = RunConfig()
     file_vals = read_config(args.config) if getattr(args, "config", None) else {}
-    known = set(_CASTS) | set(extra_keys)
     for key in file_vals:
-        if key not in known:
+        if key not in _CASTS:
             raise ValueError(f"unknown config key {key!r}")
     for name, cast in _CASTS.items():
         if name in file_vals:

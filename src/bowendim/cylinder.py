@@ -144,41 +144,30 @@ def derivative(params: MapParams, z):
     return params.ell - np.exp(_val(z))
 
 
-def param_derivative(params: MapParams, z=None):
-    """Derivative of the map in the parameter c: 1 - (ell-1)/c.
-
-    Independent of z; the argument is accepted for signature symmetry with
-    the phase derivative.
-    """
+def param_derivative(params: MapParams):
+    """Derivative of the map in the parameter c: 1 - (ell-1)/c, the same at
+    every point."""
     return 1.0 - (params.ell - 1) / params.c
 
 
-def orbit_derivative_parts(params: MapParams, z, n: int):
-    """(unit phase, log magnitude) of the n-step orbit derivative at z."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = canonical(_val(z))
-    log_mag = 0.0
-    phase = 1.0 + 0.0j
-    for _ in range(n):
-        d = complex(derivative(params, w))
-        a = abs(d)
-        if a == 0.0:
-            return 0.0j, -math.inf
-        log_mag += math.log(a)
-        phase *= d / a
+def _orbit_derivatives(params, z, period):
+    """(D1F^n, D2F^n, F^n(z)) at z for n = period steps: the derivatives in
+    c and in z of the n-th iterate, accumulated along the orbit."""
+    q = param_derivative(params)
+    d1 = 0.0 + 0.0j
+    d2 = 1.0 + 0.0j
+    w = z
+    for _ in range(period):
+        fp = complex(derivative(params, w))
+        d1 = q + fp * d1
+        d2 *= fp
         w = evaluate(params, w)
-    return phase, log_mag
+    return d1, d2, w
 
 
 def orbit_derivative(params: MapParams, z, n: int) -> complex:
     """Chain-rule product of derivatives along the first n orbit points."""
-    phase, log_mag = orbit_derivative_parts(params, z, n)
-    if log_mag == -math.inf:
-        return 0.0j
-    if log_mag > 700.0:  # would overflow; return directed infinity
-        return phase * math.inf
-    return phase * math.exp(log_mag)
+    return _orbit_derivatives(params, z, n)[1]
 
 
 class OrbitTag(IntEnum):

@@ -28,7 +28,6 @@ STEP_HALVINGS         6          retries (halving the step) before a track abort
 DENOM_GUARD           1e-6       guard on |1 - (F^n)'| in the continuation derivative
 SWEEP_MARGIN          0.05       keep-out margin from the boundary of D(ell, 1)
 RICHARDSON_TOL        0.30       relative tolerance for second-difference consistency
-DELTA_NUM             0.1        working radius replacing the inaccessible delta
 ====================  =========  =====================================================
 """
 
@@ -56,15 +55,14 @@ STEP_HALVINGS = 6
 DENOM_GUARD = 1e-6
 SWEEP_MARGIN = 0.05
 RICHARDSON_TOL = 0.30
-DELTA_NUM = 0.1
 
 THREADS_ENV = "BOWEN_DIM_THREADS"
 
 
-def k_min(ell, c, m0=M0):
+def k_min(ell, c):
     """Smallest |k| at which the asymptotic derivative bound is certified."""
     return max(K_MIN_FLOOR,
-               math.ceil((abs(c) + ell * (m0 + math.pi) + 2 * math.pi) / (2 * math.pi)))
+               math.ceil((abs(c) + ell * (M0 + math.pi) + 2 * math.pi) / (2 * math.pi)))
 
 
 def default_threads():

@@ -77,8 +77,7 @@ class DimensionRecord:
 
 
 def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
-                    *, z=None, scan_ts=defaults.SCAN_TS,
-                    max_attempts: int = 2,
+                    *, max_attempts: int = 2,
                     budget: int = None) -> DimensionRecord:
     """Locate the unique pressure zero t* > 1 by bracketed bisection.
 
@@ -97,7 +96,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     """
     if accuracy <= 0:
         raise ValueError("accuracy must be positive")
-    base = default_base_point(params) if z is None else complex(z)
+    base = default_base_point(params)
     evals = 0
     trace = []
     children = ChildTable()
@@ -125,7 +124,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     lo = hi = None
     est_lo = est_hi = None
     prev_t, prev_est = None, None
-    for ts in scan_ts:
+    for ts in defaults.SCAN_TS:
         e = est_at(ts, 0.05)
         s, cert = sign_of(e)
         if s < 0 and prev_est is None:
@@ -143,7 +142,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         all_certified &= cert
     if lo is None:
         raise NoBracket(
-            f"no pressure sign change on the scan grid {tuple(scan_ts)}", trace)
+            f"no pressure sign change on the scan grid {defaults.SCAN_TS}", trace)
 
     # ---- bisection; one escalated retry when the value itself is ambiguous
     slope = max((est_lo.value - est_hi.value) / (hi - lo), 1e-3)

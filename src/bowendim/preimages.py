@@ -21,10 +21,11 @@ the residual tolerance, and deduplicated in the cylinder metric.
 Every step is per target, so a large call is solved in contiguous blocks of
 targets on one process-wide thread pool (``defaults.default_threads()``
 workers; numpy releases the GIL in its kernels) and the blocks are joined in
-target order.  The structural cutoff k_secondary is fixed once per call from
-every target.  Only the main thread fans out: other threads (sweep cells)
-solve the same bounded blocks in turn.  The output bits depend neither on
-the blocks nor on the thread count.
+target order.  The structural cutoff k_secondary is each target's own, from
+its own |rhs|, so a target's roots do not depend on the other targets of its
+call.  Only the main thread fans out: other threads (sweep cells) solve the
+same bounded blocks in turn.  The output bits depend neither on the blocks
+nor on the thread count.
 """
 
 from __future__ import annotations
@@ -51,15 +52,19 @@ log = logging.getLogger(__name__)
 # ----------------------------------------------------------------- kernels
 
 _RE_LO, _RE_HI = -200.0, 60.0  # no relevant roots outside this band
+_STEP_TOL = 1e-12  # Newton stops once its last step is below this
+_FAST_ITERS = 12   # Newton steps from the asymptotic-branch seed
+_ROBUST_ITERS = 40  # Newton steps from the strip-regime seeds
+_LOG_ROUNDS = 4    # fixed-point rounds of the asymptotic-branch seed
 
 
-def _newton_batch(a, B, x0, iters, step_tol=1e-12):
+def _newton_batch(a, B, x0, iters):
     """Vectorised Newton on g(x) = a*x - e^x - B.
 
-    Runs until every entry either converged (last step below step_tol) or
+    Runs until every entry either converged (last step below _STEP_TOL) or
     the iteration cap is hit.  Divergent entries become NaN.  Plain Newton
     also handles double roots (linear convergence, rate 1/2), which is why
-    the default iteration counts upstream are generous.
+    _FAST_ITERS and _ROBUST_ITERS are generous.
     """
     x = np.array(x0, dtype=np.complex128)
     B = np.asarray(B, dtype=np.complex128)
@@ -84,7 +89,7 @@ def _newton_batch(a, B, x0, iters, step_tol=1e-12):
             step = np.where(big, step * (1.5 / np.where(mag == 0, 1, mag)), step)
         xa = xa - step
         out = (xa.real < _RE_LO) | (xa.real > _RE_HI) | ~np.isfinite(xa)
-        done = (mag < step_tol) & ~out
+        done = (mag < _STEP_TOL) & ~out
         if out.any():
             xa[out] = np.nan
         finished = done | out
@@ -100,11 +105,11 @@ def _newton_batch(a, B, x0, iters, step_tol=1e-12):
     return x
 
 
-def _log_seed(a, B, rounds=4):
+def _log_seed(a, B):
     """Seed for the asymptotic branch: iterate x <- Log(a*x - B) from Log(-B)."""
     with np.errstate(all="ignore"):
         x = np.log(-np.asarray(B, dtype=np.complex128))
-        for _ in range(rounds):
+        for _ in range(_LOG_ROUNDS):
             x = np.log(a * x - B)
     return x
 
@@ -129,22 +134,17 @@ def _robust_seed_block(a, B):
     return np.stack(seeds)
 
 
-def k_secondary(a, max_abs_rhs):
-    """Largest |k| that can carry strip roots beyond the asymptotic branch."""
+def k_secondary(a, abs_rhs):
+    """Largest |k| that can carry strip roots beyond the asymptotic branch,
+    per target, from a bound on that target's |rhs| (an array of them)."""
     k_left = math.ceil((a + 1) / 2)
     fold_reach = a * (math.log(2 * a * math.e) + math.pi) + 2 * a * math.e
-    k_fold = math.ceil((fold_reach + max_abs_rhs) / TWO_PI)
-    return max(k_left, k_fold, 3)
+    k_fold = np.ceil((fold_reach + np.asarray(abs_rhs, dtype=float)) / TWO_PI)
+    return np.maximum(k_fold, max(k_left, 3)).astype(np.int64)
 
 
-def call_k_secondary(a, rhs_base):
-    """The structural cutoff of one solve, fixed from every target's rhs."""
-    return k_secondary(a, float(np.max(np.abs(rhs_base))) if rhs_base.size else 0.0)
-
-
-def _grid_seeds(a, spacing, re_lo=None, re_hi=None):
-    re_lo = -2.0 * (a + 1) - 2.0 if re_lo is None else re_lo
-    re_hi = defaults.M0 if re_hi is None else re_hi
+def _grid_seeds(a, spacing):
+    re_lo, re_hi = -2.0 * (a + 1) - 2.0, defaults.M0
     nre = max(2, int(math.ceil((re_hi - re_lo) / spacing)))
     nim = max(2, int(math.ceil(TWO_PI / spacing)))
     res = np.linspace(re_lo, re_hi, nre)
@@ -201,20 +201,17 @@ def _one_k_per_cell(a, max_abs_ex, radius, tol):
 
 
 def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
-                          tol=defaults.TOL, fast_iters=12, robust_iters=40,
-                          dense_spacing=None, dense_k=None, track_misses=False,
-                          k_sec=None):
+                          tol=defaults.TOL, dense_spacing=None,
+                          track_misses=False):
     """Solve a*x - e^x = rhs_base[i] + 2*pi*i*k for the given (i, k) pairs.
 
     Returns (i, k, x, e^x[, miss_i, miss_k]) flat arrays of validated strip
     roots, deduplicated per target and re-indexed after canonicalisation.
     ``kmax_by_i`` bounds the lift indices kept per target.  Robust seeds are
-    added for |k| up to the structural cutoff ``k_sec``, by default computed
-    once from every target (``call_k_secondary``); a caller that solves a
-    subset of a larger call's targets pins the larger call's cutoff, and
-    then gets that call's output for each of its targets.  A dense
-    rectangular grid (module-grade completeness) is added when
-    dense_spacing is given.
+    added for |k| up to the target's own structural cutoff k_secondary, so
+    each target's output depends on that target alone, whatever else its
+    call solves.  A dense rectangular grid (module-grade completeness) is
+    added there too when dense_spacing is given.
 
     Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; a table
     over the slots stands in for sorting in the dedupe and the miss check.
@@ -233,8 +230,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     if tol <= 0:
         raise InvalidTol(f"tol must be positive, got {tol}")
     a = int(a)
-    if k_sec is None:
-        k_sec = call_k_secondary(a, rhs_base)
+    k_sec = k_secondary(a, np.abs(rhs_base))
     kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
     radius = defaults.DEDUP_FACTOR * tol
     ends = np.cumsum(2 * kmax_arr + 1)
@@ -249,8 +245,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     def block(lo, hi):
         is_, ks, xc, ex = _strip_candidates(
             a, rhs_base, pair_i[lo:hi], pair_k[lo:hi], kmax_arr, k_sec,
-            tol=tol, fast_iters=fast_iters, robust_iters=robust_iters,
-            dense_spacing=dense_spacing, dense_k=dense_k)
+            tol=tol, dense_spacing=dense_spacing)
         alone = None
         if table and ex.size and _one_k_per_cell(a, float(np.abs(ex).max()),
                                                  radius, tol):
@@ -279,7 +274,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     # fast-path pairs beyond the structural cutoff must each own one root
     marked = np.zeros(n_slots, dtype=bool)
     marked[zero[is_] + ks] = True
-    fast = np.abs(pair_k) > k_sec
+    fast = np.abs(pair_k) > k_sec[pair_i]
     fi, fk = pair_i[fast], pair_k[fast]
     found = np.abs(fk) <= kmax_arr[fi]
     found[found] = marked[zero[fi[found]] + fk[found]]
@@ -332,14 +327,15 @@ def _block_cuts(pair_i):
 
 
 def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
-                      fast_iters, robust_iters, dense_spacing, dense_k):
-    """Validated strip roots (i, k, x, e^x) before deduplication."""
+                      dense_spacing):
+    """Validated strip roots (i, k, x, e^x) before deduplication; k_sec
+    holds each target's structural cutoff."""
     B = rhs_base[pair_i] + (TWO_PI * 1j) * pair_k
-    cand_x = [_newton_batch(a, B, _log_seed(a, B), fast_iters)]
+    cand_x = [_newton_batch(a, B, _log_seed(a, B), _FAST_ITERS)]
     cand_i = [pair_i]
     cand_k = [pair_k]
 
-    small = np.abs(pair_k) <= k_sec
+    small = np.abs(pair_k) <= k_sec[pair_i]
     if small.any():
         Bs = B[small]
         # one Newton batch for every robust seed, seed-major; Newton acts
@@ -347,18 +343,16 @@ def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
         seeds = _robust_seed_block(a, Bs)
         n_seeds = seeds.shape[0]
         cand_x.append(_newton_batch(a, np.tile(Bs, n_seeds), seeds.ravel(),
-                                    robust_iters))
+                                    _ROBUST_ITERS))
         cand_i.append(np.tile(pair_i[small], n_seeds))
         cand_k.append(np.tile(pair_k[small], n_seeds))
         if dense_spacing is not None:
-            dk = k_sec + 2 if dense_k is None else dense_k
-            dsub = small & (np.abs(pair_k) <= dk)
             grid = _grid_seeds(a, dense_spacing)
-            Bd = np.repeat(B[dsub], grid.size)
-            seeds = np.tile(grid, int(dsub.sum()))
-            cand_x.append(_newton_batch(a, Bd, seeds, robust_iters))
-            cand_i.append(np.repeat(pair_i[dsub], grid.size))
-            cand_k.append(np.repeat(pair_k[dsub], grid.size))
+            seeds = np.tile(grid, Bs.size)
+            cand_x.append(_newton_batch(a, np.repeat(Bs, grid.size), seeds,
+                                        _ROBUST_ITERS))
+            cand_i.append(np.repeat(pair_i[small], grid.size))
+            cand_k.append(np.repeat(pair_k[small], grid.size))
 
     xs = np.concatenate(cand_x)
     is_ = np.concatenate(cand_i)
@@ -403,12 +397,11 @@ def _uniform_pairs(n_targets, kmax):
 
 
 def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
-                    dense_spacing=None, track_misses=False, k_sec=None):
+                    dense_spacing=None, track_misses=False):
     """Flat preimage enumeration used by the transfer machinery.
 
     targets: complex array of canonical cylinder points.
     kmax: scalar or per-target truncation half-width.
-    k_sec: the structural cutoff to pin (see solve_strip_equations).
     Returns (parent_index, k, x, f'(x)) plus miss pairs when requested.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
@@ -416,7 +409,7 @@ def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
     rhs = targets - params.affine_term
     out = solve_strip_equations(params.ell, rhs, pair_i, pair_k, kmax_arr,
                                 tol=tol, dense_spacing=dense_spacing,
-                                track_misses=track_misses, k_sec=k_sec)
+                                track_misses=track_misses)
     if track_misses:
         is_, ks, xc, ex, mi, mk = out
         return is_, ks, xc, params.ell - ex, mi, mk
@@ -435,24 +428,24 @@ class TailBound:
     bound: float
 
 
-def tail_bound_value(K, t, c_geo=defaults.C_GEO):
+def tail_bound_value(K, t):
     """Vectorised value of the omitted-weight bound (no validation)."""
     K = np.asarray(K, dtype=float)
-    return 2.0 * c_geo * TWO_PI ** (-t) * K ** (1.0 - t) / (t - 1.0)
+    return 2.0 * defaults.C_GEO * TWO_PI ** (-t) * K ** (1.0 - t) / (t - 1.0)
 
 
-def tail_weight_bound(K: int, t: float, *, c_geo=defaults.C_GEO,
+def tail_weight_bound(K: int, t: float, *,
                       k_min=defaults.K_MIN_FLOOR) -> TailBound:
     """Upper bound for sum_{|k|>K} |F'(x_k)|^(-t).
 
-    Uses |F'(x_k)| >= 2*pi*|k| / c_geo for |k| >= k_min, which the
+    Uses |F'(x_k)| >= 2*pi*|k| / C_GEO for |k| >= k_min, which the
     enumeration validates at run time.  Finite only for t > 1.
     """
     if t <= 1.0:
         raise TNotSummable(t)
     if K < k_min:
         raise ValueError(f"tail bound requires K >= {k_min}, got {K}")
-    return TailBound(int(K), float(t), float(tail_bound_value(K, t, c_geo)))
+    return TailBound(int(K), float(t), float(tail_bound_value(K, t)))
 
 
 # ---------------------------------------------------------------- public API
@@ -609,8 +602,9 @@ def fixed_points(params: MapParams, k_range, tol: float = defaults.TOL,
         pts.append(PeriodicPoint(CylinderPoint.from_complex(x), 1,
                                  complex(mult), (int(k),)))
     found = set(int(k) for k in ks)
+    k_sec = int(k_secondary(a, abs(rhs[0])))
     missing = [int(k) for k in ks_wanted
-               if int(k) not in found and abs(int(k)) > k_secondary(a, float(abs(rhs[0])))]
+               if int(k) not in found and abs(int(k)) > k_sec]
     if missing:
         log.warning("fixed_points: no solution found for k in %s", missing)
     return pts

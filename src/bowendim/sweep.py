@@ -22,8 +22,7 @@ import numpy as np
 
 from . import defaults
 from .cylinder import (TWO_PI, CylinderPoint, MapParams, PeriodicPoint,
-                       canonical, cylinder_distance, derivative, evaluate,
-                       param_derivative)
+                       _orbit_derivatives, canonical, cylinder_distance)
 from .dimension import DimensionRecord, bowen_dimension
 from .errors import (ContinuationError, DenominatorNearOne, InsufficientGrid,
                      NoExpansion, NumericsError)
@@ -44,23 +43,9 @@ class ContinuationTrack:
     start: PeriodicPoint
 
 
-def _orbit_derivatives(params, z, period):
-    """(D1F^n, D2F^n, F^n(z)) at z for the period-n return map."""
-    q = param_derivative(params)
-    d1 = 0.0 + 0.0j
-    d2 = 1.0 + 0.0j
-    w = z
-    for _ in range(period):
-        fp = complex(derivative(params, w))
-        d1 = q + fp * d1
-        d2 *= fp
-        w = evaluate(params, w)
-    return d1, d2, w
-
-
-def _newton_periodic(params, z, period, tol, iters=30):
+def _newton_periodic(params, z, period, tol):
     """Newton on F^period(x) - x over the cylinder; returns (z, residual)."""
-    for _ in range(iters):
+    for _ in range(30):
         _, d2, w = _orbit_derivatives(params, z, period)
         rr = complex(w) - complex(z)
         rr -= TWO_PI * 1j * round(rr.imag / TWO_PI)
@@ -80,13 +65,12 @@ def _orbit_end(params, z, period):
 
 
 def continue_periodic(params0: MapParams, p: PeriodicPoint, path,
-                      tol: float = defaults.TOL, *,
-                      max_step: float = defaults.MAX_STEP_C) -> ContinuationTrack:
+                      tol: float = defaults.TOL) -> ContinuationTrack:
     """Predictor-corrector continuation of a periodic point along c-values.
 
     The predictor moves z by h'(c) * dc with h' = D1F^n / (1 - D2F^n); the
     corrector is Newton on the period-n return map at the new parameter.
-    Steps longer than max_step are subdivided; a rejected step is halved up
+    Steps longer than MAX_STEP_C are subdivided; a rejected step is halved up
     to the configured retry count.  The track aborts (with the partial track
     attached) if a point stops being repelling or the corrector fails.
     """
@@ -103,7 +87,7 @@ def continue_periodic(params0: MapParams, p: PeriodicPoint, path,
         target = complex(target)
         while abs(target - c) > 1e-15:
             dc_full = target - c
-            n_sub = max(1, math.ceil(abs(dc_full) / max_step))
+            n_sub = max(1, math.ceil(abs(dc_full) / defaults.MAX_STEP_C))
             dc = dc_full / n_sub
             accepted = False
             for _ in range(defaults.STEP_HALVINGS + 1):
@@ -276,14 +260,15 @@ class SweepGrid:
 
 
 def sweep_dimension(ell: int, grid_spec: GridSpec, accuracy: float,
-                    *, threads: int = 1, margin: float = defaults.SWEEP_MARGIN,
-                    max_attempts: int = 3, budget: int = None) -> SweepGrid:
+                    *, threads: int = 1, max_attempts: int = 3,
+                    budget: int = None) -> SweepGrid:
     """Bowen dimension over a parameter grid, with per-cell diagnostics.
 
     Cell failures are recorded in the cell's diagnostics and the sweep
     continues.  Cells are independent; `threads` bounds the worker pool.
     """
     centers = grid_spec.centers()
+    margin = defaults.SWEEP_MARGIN
     bad = [c for c in centers if abs(c - ell) >= 1.0 - margin]
     if bad:
         raise ValueError(f"{len(bad)} grid centres violate the margin "

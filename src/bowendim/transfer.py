@@ -40,13 +40,13 @@ import numpy as np
 from . import defaults
 from .cylinder import TWO_PI, CylinderPoint, MapParams, canonical, cylinder_distance
 from .errors import NumericsError, TNotSummable
-from .preimages import (_dedupe_sorted, call_k_secondary, fixed_points,
-                        preimage_arrays, preimages, tail_bound_value,
-                        tail_weight_bound)
+from .preimages import (_dedupe_sorted, fixed_points, preimage_arrays,
+                        preimages, tail_bound_value, tail_weight_bound)
 
 log = logging.getLogger(__name__)
 
 _PAIR_CHUNK = 2_000_000
+_K_PROBE = 256  # branch truncation of the sup probe
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ class PressureEstimate:
 
 
 @functools.lru_cache(maxsize=None)
-def default_base_point(params: MapParams, tol: float = defaults.TOL) -> complex:
+def default_base_point(params: MapParams) -> complex:
     """The |k|=1 repelling fixed point.
 
     The sign of k follows the sign of Im(c), so conjugate parameters use
@@ -101,7 +101,7 @@ def default_base_point(params: MapParams, tol: float = defaults.TOL) -> complex:
     """
     order = (1, -1) if params.c.imag >= 0 else (-1, 1)
     for k in order:
-        pts = fixed_points(params, (k, k), tol)
+        pts = fixed_points(params, (k, k))
         for p in pts:
             if abs(p.multiplier) > 1.0:
                 return p.point.z
@@ -109,13 +109,13 @@ def default_base_point(params: MapParams, tol: float = defaults.TOL) -> complex:
 
 
 @functools.lru_cache(maxsize=4)
-def _sup_l1_probe(params: MapParams, k_probe: int = 256):
+def _sup_l1_probe(params: MapParams):
     """Geometry of the sup probe, built once per parameter.
 
     Probes are themselves Julia points: the base point (a repelling fixed
     point) and its first two preimage generations (the Julia set is backward
     invariant), so the estimate is not inflated by Fatou regions near the
-    critical value.  Returns |F'| over every branch |k| <= k_probe of every
+    critical value.  Returns |F'| over every branch |k| <= _K_PROBE of every
     probe, grouped by probe, and each branch's probe index (int16: there are
     about a thousand probes); neither depends on t.  One entry holds about
     half a million branches, hence the small cache.
@@ -124,7 +124,7 @@ def _sup_l1_probe(params: MapParams, k_probe: int = 256):
     _, _, x1, _ = preimage_arrays(params, np.array([base]), 24)
     _, _, x2, _ = preimage_arrays(params, x1, 8)
     probes = np.concatenate([[base], x1, x2])
-    parent, _, _, der = preimage_arrays(params, probes, k_probe)
+    parent, _, _, der = preimage_arrays(params, probes, _K_PROBE)
     dabs = np.abs(der)
     parent = parent.astype(np.int16)
     dabs.flags.writeable = False
@@ -132,15 +132,15 @@ def _sup_l1_probe(params: MapParams, k_probe: int = 256):
     return dabs, parent
 
 
-def _sup_l1(params: MapParams, t: float, k_probe: int = 256) -> float:
+def _sup_l1(params: MapParams, t: float) -> float:
     """Runtime estimate of sup of L_t 1 over the Julia set.
 
     The probe geometry comes from the per-parameter cache; only the weights
     |F'|^-t are evaluated here, per t, and summed per probe in branch order.
     """
-    dabs, parent = _sup_l1_probe(params, k_probe)
+    dabs, parent = _sup_l1_probe(params)
     sums = np.bincount(parent, weights=dabs ** (-t))
-    return float(sums.max() + tail_bound_value(k_probe, t))
+    return float(sums.max() + tail_bound_value(_K_PROBE, t))
 
 
 # ------------------------------------------------------------- tree builder
@@ -151,15 +151,15 @@ class ChildTable:
     The trees of one Bowen solve differ in t, but their nodes keep solving
     the same branch equations; only the weights |F'|^-t change.  One
     target's solve output (its roots in (real, imag) order and its missed k
-    in ascending order) is a pure function of (ell, tol, k_sec, the target's
-    bits, kmax), so the table maps that key to what _grow reads of it: the
-    lift index (int16, as |k| <= K <= 16384), the root, |F'| and the missed
-    k, as one target's slice of its solve's compact columns.  The target is
-    keyed by its raw bits, as +0.0 and -0.0 lie on opposite sides of Log's
-    branch cut.  A solve stores nothing once the table holds `limit` roots
-    (the node budget of the tree being grown), so the table exceeds it by
-    at most one chunk's roots; lookups go on, and the output bits do not
-    depend on what is cached.
+    in ascending order) is a pure function of (ell, tol, the target's bits,
+    kmax), whatever else its call solves, so the table maps that key to what
+    _grow reads of it: the lift index (int16, as |k| <= K <= 16384), the
+    root, |F'| and the missed k, as one target's slice of its solve's
+    compact columns.  The target is keyed by its raw bits, as +0.0 and -0.0
+    lie on opposite sides of Log's branch cut.  A solve stores nothing once
+    the table holds `limit` roots (the node budget of the tree being grown),
+    so the table exceeds it by at most one chunk's roots; lookups go on, and
+    the output bits do not depend on what is cached.
     """
 
     def __init__(self):
@@ -173,9 +173,8 @@ class ChildTable:
         as int16 and |F'| in place of F', solving only the targets the table
         does not hold.  The k, x and |F'| arrays may be read-only views."""
         ell = params.ell
-        k_sec = call_k_secondary(ell, targets - params.affine_term)
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
-        keys = [(ell, tol, k_sec, re, im, km)
+        keys = [(ell, tol, re, im, km)
                 for (re, im), km in zip(bits.tolist(), kmax.tolist())]
         rows = [self.entries.get(key) for key in keys]
         todo = [j for j, row in enumerate(rows) if row is None]
@@ -184,8 +183,7 @@ class ChildTable:
             sub = np.array(todo)
             self.pairs_solved += int((2 * kmax[sub] + 1).sum())
             si, sk, sx, sd, smi, smk = preimage_arrays(
-                params, targets[sub], kmax[sub], tol=tol, track_misses=True,
-                k_sec=k_sec)
+                params, targets[sub], kmax[sub], tol=tol, track_misses=True)
             # what _grow reads, compact and read-only; a row is one target's
             # slice of it
             cols = (sk.astype(np.int16), sx, np.abs(sd), smk.astype(np.int16))
@@ -484,22 +482,12 @@ def transfer_level_sums(params: MapParams, t: float, z, n: int,
     return lv.weighted(n)
 
 
-def iterate_transfer_one(params: MapParams, t: float, z, n: int,
-                         K: int = defaults.K, prune: float = defaults.PRUNE,
-                         budget: int = defaults.NODE_BUDGET) -> WeightedValue:
-    """L_t^n 1 (z) over the depth-n truncated preimage tree.
-
-    When the node budget is exhausted the value carries error = inf.
-    """
-    return transfer_level_sums(params, t, z, n, K, prune, budget)[n]
-
-
 def apply_transfer(params: MapParams, t: float, g, z, K: int = defaults.K,
-                   *, g_sup: float = 1.0, tol: float = defaults.TOL) -> WeightedValue:
+                   *, g_sup: float = 1.0) -> WeightedValue:
     """L_t g (z) truncated at branch index K; error = tail bound * sup|g|."""
     if t <= 1.0:
         raise TNotSummable(t)
-    ps = preimages(params, z, K, tol)
+    ps = preimages(params, z, K)
     der = ps.derivs()
     pts = ps.points()
     gv = np.array([float(g(complex(x))) for x in pts])
@@ -612,8 +600,7 @@ def _shadow_cycles(params, lv, n, tol):
     return U[:, good]
 
 
-def periodic_points(params: MapParams, n: int, K: int,
-                    *, tol: float = defaults.TOL):
+def periodic_points(params: MapParams, n: int, K: int):
     """All period-n points reachable as fixed points of branch words |k| <= K.
 
     Returns (points, multipliers): points has shape (n, m) with column i the
@@ -630,10 +617,10 @@ def periodic_points(params: MapParams, n: int, K: int,
         raise ValueError(f"word alphabet too large: (2K+2)^n = {words:.3g}")
     base = default_base_point(params)
     lv = _grow(params, 1.5, base, n, K, prune=0.0,
-               budget=int(4 * words + 1000), keep_nodes=True, tol=tol)
+               budget=int(4 * words + 1000), keep_nodes=True)
     if lv.budget_exceeded or len(lv.nodes) <= n or lv.nodes[n] is None:
         raise NumericsError("periodic_points: tree expansion exhausted its budget")
-    U = _shadow_cycles(params, lv, n, tol)
+    U = _shadow_cycles(params, lv, n, defaults.TOL)
     if U.shape[1] == 0:
         return U, np.empty(0, dtype=np.complex128)
     mult = np.prod(params.ell - np.exp(U), axis=0)
@@ -641,13 +628,13 @@ def periodic_points(params: MapParams, n: int, K: int,
     U, mult = U[:, repelling], mult[repelling]
     # one entry per periodic point: deduplicate on the cycle starting point
     n_pts = U.shape[1]
+    radius = defaults.DEDUP_FACTOR * defaults.TOL
     uniq = np.sort(_dedupe_sorted(np.zeros(n_pts, np.int64), np.arange(n_pts),
-                                  U[0], U[0], defaults.DEDUP_FACTOR * tol)[1])
+                                  U[0], U[0], radius)[1])
     return U[:, uniq], mult[uniq]
 
 
-def zeta_pressure(params: MapParams, t: float, n: int, K: int,
-                  *, tol: float = defaults.TOL) -> PressureEstimate:
+def zeta_pressure(params: MapParams, t: float, n: int, K: int) -> PressureEstimate:
     """Periodic-orbit pressure: (1/n) log sum over period-n points of |(F^n)'|^-t.
 
     Desk scale: n <= 3.  The omitted-word uncertainty applies the branch
@@ -656,7 +643,7 @@ def zeta_pressure(params: MapParams, t: float, n: int, K: int,
     """
     if t <= 1.0:
         raise TNotSummable(t)
-    _, mult = periodic_points(params, n, K, tol=tol)
+    _, mult = periodic_points(params, n, K)
     if mult.size == 0:
         return PressureEstimate(t, math.nan, math.inf, PressureMethod.ZETA, n, K, 0.0)
     total = float((np.abs(mult) ** (-t)).sum())
@@ -687,7 +674,7 @@ class FunctionSamples:
 
 def eigenfunction_iterate(params: MapParams, t: float, samples, iterations: int,
                           K: int = defaults.K, prune: float = defaults.PRUNE,
-                          *, pressure_value: float, base=None,
+                          *, pressure_value: float,
                           budget: int = defaults.NODE_BUDGET) -> FunctionSamples:
     """Normalised iterates (e^-P L_t)^m 1 at the sample points.
 
@@ -697,7 +684,7 @@ def eigenfunction_iterate(params: MapParams, t: float, samples, iterations: int,
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    base = default_base_point(params) if base is None else complex(base)
+    base = default_base_point(params)
     pts = np.array([canonical(complex(s) if not isinstance(s, CylinderPoint) else s.z)
                     for s in samples], dtype=np.complex128)
     allpts = np.concatenate([pts, [canonical(base)]])

@@ -145,12 +145,11 @@ def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
     pair_i, pair_k, kmax_arr = _uniform_pairs(targets.size, kmax)
     rhs = targets - params.affine_term
     a = params.ell
-    k_sec = k_secondary(a, float(np.max(np.abs(rhs))))
+    k_sec = k_secondary(a, np.abs(rhs))  # each target's own cutoff
     cand = _strip_candidates(a, rhs, pair_i, pair_k, kmax_arr, k_sec, tol=tol,
-                             fast_iters=12, robust_iters=40,
-                             dense_spacing=dense_spacing, dense_k=None)
+                             dense_spacing=dense_spacing)
     is_, ks, xc, ex = dedupe_reference(*cand, defaults.DEDUP_FACTOR * tol)
-    fast = np.abs(pair_k) > k_sec
+    fast = np.abs(pair_k) > k_sec[pair_i]
     want = pair_i[fast] * np.int64(1 << 22) + pair_k[fast]
     have = is_ * np.int64(1 << 22) + ks
     missed = ~np.isin(want, have)

@@ -32,3 +32,16 @@ def test_bench_quick_dim_base_round():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_bench_quick_sweep_grid_round():
+    # one quick cold sweep: cells solve off the main thread, checked by the
+    # workload's mirror-cell and bracket oracles
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "sweep-grid",
+         "--seed", "1", "--seconds", "0", "--quick"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

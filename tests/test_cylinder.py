@@ -7,7 +7,7 @@ import pytest
 from bowendim import (CylinderPoint, MapParams, OrbitTag, canonical,
                       classify_orbit, classify_window, cylinder_distance, defaults,
                       derivative, evaluate, fixed_points, orbit_derivative,
-                      orbit_derivative_parts, param_derivative)
+                      param_derivative)
 from bowendim.cylinder import _classify
 from conftest import random_disk_params
 from oracles import classify_orbit_reference, fixed_point_oracle
@@ -106,8 +106,6 @@ def test_orbit_derivative(params22):
     p = fps[0]
     d3 = orbit_derivative(params22, p.point.z, 3)
     assert abs(d3 - p.multiplier ** 3) < 1e-8 * abs(p.multiplier) ** 3
-    phase, logmag = orbit_derivative_parts(params22, p.point.z, 3)
-    assert abs(phase * math.exp(logmag) - d3) < 1e-9 * abs(d3)
 
 
 def test_classify_fixed_point(params22):

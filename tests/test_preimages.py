@@ -332,24 +332,27 @@ def test_blocked_solve_matches_one_block(ell, c, K, small_blocks, monkeypatch):
         assert got[4].size > 0
 
 
-def test_blocks_share_the_call_k_secondary(small_blocks, monkeypatch):
-    # per-block cutoffs would seed different pairs robustly, and the
-    # straggler pass could then keep a different representative
+def _target_rows(out, i):
+    """Target i's roots (k, x, F') and missed k from a tracked solve."""
+    is_, ks, xs, ders, mi, mk = out
+    return ks[is_ == i], xs[is_ == i], ders[is_ == i], mk[mi == i]
+
+
+@pytest.mark.parametrize("blocks", ["one block", "small blocks"])
+def test_target_roots_do_not_depend_on_co_targets(blocks, request):
+    # a far-left co-target has a large |rhs|, hence a large cutoff of its
+    # own; the near target's roots must come out as when it is solved alone
+    if blocks == "small blocks":
+        request.getfixturevalue("small_blocks")
     p = MapParams(2, 2.0)
-    targets = np.array([-8.0 + 3.0j, 0.4 + 0.1j, 0.2 - 0.3j, 6.0 - 2.0j])
-    seen = []
-    strip_candidates = preimages_mod._strip_candidates
-
-    def spy(*args, **kwargs):
-        seen.append(args[5])
-        return strip_candidates(*args, **kwargs)
-
-    monkeypatch.setattr(preimages_mod, "_strip_candidates", spy)
-    preimage_arrays(p, targets, 300)
-    rhs = np.abs(targets - p.affine_term)
-    want = preimages_mod.k_secondary(2, float(rhs.max()))
-    assert preimages_mod.k_secondary(2, float(rhs.min())) != want
-    assert len(seen) > 1 and set(seen) == {want}
+    z, far = -7.0 - 0.7j, -40.0 + 0.5j
+    k_sec = preimages_mod.k_secondary
+    assert k_sec(2, abs(z - p.affine_term)) < k_sec(2, abs(far - p.affine_term))
+    alone = preimage_arrays(p, [z], 64, track_misses=True)
+    both = preimage_arrays(p, [z, far], 64, track_misses=True)
+    rows = _target_rows(both, 0)
+    assert rows[0].size > 0
+    _same_bits(rows, _target_rows(alone, 0))
 
 
 def test_blocked_solve_when_cells_can_span_k(small_blocks, monkeypatch):

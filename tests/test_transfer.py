@@ -8,10 +8,10 @@ import pytest
 from bowendim import (MapParams, apply_transfer, bowen_dimension,
                       conformal_atoms, cylinder_distance, defaults,
                       eigenfunction_iterate, evaluate, fixed_points,
-                      iterate_transfer_one, periodic_points, pressure_ratio,
-                      transfer_level_sums, zeta_pressure)
+                      periodic_points, pressure_ratio, transfer_level_sums,
+                      zeta_pressure)
 from bowendim.errors import TNotSummable
-from bowendim.preimages import call_k_secondary, preimage_arrays, tail_bound_value
+from bowendim.preimages import preimage_arrays, tail_bound_value
 from bowendim.transfer import (ChildTable, LevelNodes, _grow, _Levels,
                                _shadow_cycles, _sup_l1, _sup_l1_probe,
                                default_base_point)
@@ -60,24 +60,24 @@ def test_transfer_decay_in_re(params22):
 
 
 def test_iterate_depth_one_matches_apply(params22, base):
-    it = iterate_transfer_one(params22, 1.5, base, 1, K=40, prune=0.0,
-                              budget=100_000)
+    it = transfer_level_sums(params22, 1.5, base, 1, K=40, prune=0.0,
+                             budget=100_000)[1]
     ap = apply_transfer(params22, 1.5, lambda z: 1.0, base, K=40)
     assert it.value == pytest.approx(ap.value, rel=1e-9)
 
 
 def test_iterate_monotone_in_t(params22, base):
-    v15 = iterate_transfer_one(params22, 1.5, base, 3, K=50, prune=0.0,
-                               budget=400_000)
-    v20 = iterate_transfer_one(params22, 2.0, base, 3, K=50, prune=0.0,
-                               budget=400_000)
+    v15 = transfer_level_sums(params22, 1.5, base, 3, K=50, prune=0.0,
+                              budget=400_000)[3]
+    v20 = transfer_level_sums(params22, 2.0, base, 3, K=50, prune=0.0,
+                              budget=400_000)[3]
     assert v20.value < v15.value
 
 
 def test_iterate_positive(params22, base):
     for t in (1.3, 1.8):
-        v = iterate_transfer_one(params22, t, base, 3, K=30, prune=1e-13,
-                                 budget=200_000)
+        v = transfer_level_sums(params22, t, base, 3, K=30, prune=1e-13,
+                                budget=200_000)[3]
         assert v.value > 0
 
 
@@ -110,8 +110,8 @@ def test_refinement_monotonicity(params22, base):
 def test_budget_exhaustion_flags_inf(params22, base):
     # pruning escalation normally keeps runs inside the budget; only an
     # absurdly small cap (below one minimal frontier) trips the inf flag
-    v = iterate_transfer_one(params22, 1.5, base, 4, K=50, prune=0.0,
-                             budget=30)
+    v = transfer_level_sums(params22, 1.5, base, 4, K=50, prune=0.0,
+                            budget=30)[4]
     assert math.isinf(v.error)
 
 
@@ -324,16 +324,15 @@ def _same_bits(got, ref):
 
 
 def test_child_table_key(solved_pairs):
-    # a target is solved again when kmax, k_secondary or its bits change
+    # a target is solved again when kmax or its bits change, and not when
+    # its co-targets do
     p = MapParams(2, 2.0)
     table = ChildTable()
     z = 0.3 + 1.1j
-    far = -40.0 + 0.5j  # a large |rhs| raises the call's k_secondary
-    assert (call_k_secondary(2, np.array([z, far]) - p.affine_term)
-            != call_k_secondary(2, np.array([z]) - p.affine_term))
+    far = -40.0 + 0.5j  # a large |rhs|, hence a large cutoff of its own
     on_axis, neg_zero = 2.0 + 0.0j, complex(2.0, -0.0)
     calls = [([z], [40], 81), ([z], [40], 0), ([z], [41], 83),
-             ([z, z], [40, 41], 0), ([z, far], [40, 40], 162),
+             ([z, z], [40, 41], 0), ([z, far], [40, 40], 81),
              ([on_axis], [5], 11), ([neg_zero], [5], 11),
              ([on_axis, neg_zero], [5, 5], 0)]
     for targets, kmax, pairs in calls:
@@ -341,27 +340,6 @@ def test_child_table_key(solved_pairs):
         _same_bits(_table_solve(table, p, targets, kmax),
                    _tableless(p, targets, kmax))
         assert solved_pairs[-1] == pairs
-
-
-def test_child_table_pins_the_chunk_k_secondary(monkeypatch):
-    # a subset solved alone would get its own, smaller cutoff
-    p = MapParams(2, 2.0)
-    chunk = np.array([0.3 + 1.1j, -40.0 + 0.5j, 1.0 - 0.7j])
-    k_chunk = call_k_secondary(2, chunk - p.affine_term)
-    assert call_k_secondary(2, chunk[2:] - p.affine_term) != k_chunk
-    pinned = []
-    solve = transfer_mod.preimage_arrays
-
-    def spy(params, targets, kmax, **kwargs):
-        pinned.append((len(targets), kwargs["k_sec"]))
-        return solve(params, targets, kmax, **kwargs)
-
-    monkeypatch.setattr(transfer_mod, "preimage_arrays", spy)
-    table = ChildTable()
-    _table_solve(table, p, chunk[:2], [40, 40])
-    got = _table_solve(table, p, chunk, [40, 40, 40])
-    assert pinned == [(2, k_chunk), (1, k_chunk)]
-    _same_bits(got, _tableless(p, chunk, [40, 40, 40]))
 
 
 def test_child_table_bound_stops_inserts(solved_pairs):
