@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from . import defaults
 from .cylinder import MapParams
 from .errors import AccuracyNotReached, NoBracket
-from .transfer import (ChildTable, PressureEstimate, best_ratio_estimate,
-                       default_base_point)
+from .transfer import (ChildTable, PressureEstimate, _sup_l1_probe,
+                       best_ratio_estimate, default_base_point)
 
 log = logging.getLogger(__name__)
 
@@ -179,7 +179,10 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         "K": float(est_hi.K),
         "prune": float(est_hi.prune),
     }
-    log.debug("bowen_dimension %s: %d of %d pairs solved; children table "
-              "holds %d targets, %d roots", params, children.pairs_solved,
-              children.pairs_requested, len(children.entries), children.roots)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("bowen_dimension %s: %d of %d pairs solved; children table "
+                  "holds %d targets, %d roots; sup probe solved %d probes in "
+                  "full", params, children.pairs_solved,
+                  children.pairs_requested, len(children.entries),
+                  children.roots, _sup_l1_probe(params).solved[0].size)
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

@@ -14,10 +14,11 @@ omission are ledgered per level and propagated into the reported error:
 Omitted mass m at level j contributes to S_n at most m * sup(L^(n-j) 1).
 Following the boundedness of the normalised iterates, the supremum is
 modelled as M * alpha^(n-j) with alpha the measured level-sum ratio and M a
-runtime probe estimate; both are heuristic and reported as such.  The
-probe's geometry (points and |F'| of a small preimage tree) does not depend
-on t: it is built once per parameter, and only its weights are evaluated
-per t.
+runtime probe estimate; both are heuristic and reported as such.  M is the
+largest of about a thousand per-probe sums over |k| <= 256.  The probes and
+their branches |k| <= 32 are solved once per parameter; per t, closed-form
+bounds on the branches beyond 32 leave only a few probes that may hold the
+maximum, and only those are solved to 256 (once per parameter as well).
 
 Every tree draws its children from a ChildTable, which keeps each solved
 target's roots and |F'| for the next node that reaches the same target with
@@ -32,6 +33,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,13 +42,15 @@ import numpy as np
 from . import defaults
 from .cylinder import TWO_PI, CylinderPoint, MapParams, canonical, cylinder_distance
 from .errors import NumericsError, TNotSummable
-from .preimages import (_dedupe_sorted, fixed_points, preimage_arrays,
-                        preimages, tail_bound_value, tail_weight_bound)
+from .preimages import (_dedupe_sorted, fixed_points, k_secondary,
+                        preimage_arrays, preimages, tail_bound_value,
+                        tail_weight_bound)
 
 log = logging.getLogger(__name__)
 
 _PAIR_CHUNK = 2_000_000
 _K_PROBE = 256  # branch truncation of the sup probe
+_K_FIRST = 32   # every probe is solved this far; only contenders to _K_PROBE
 
 
 @dataclass(frozen=True)
@@ -108,39 +112,145 @@ def default_base_point(params: MapParams) -> complex:
     raise NumericsError(f"no repelling fixed point found for k=+-1 at {params}")
 
 
+# The sup probe's maximum from bounds.  A validated root x = u + iv
+# (|v| <= pi) of lift k solves e^x = a x - B - r, with B = rhs + 2 pi i k and
+# |r| < tol.  So e^u <= 2 pi |k| + max|rhs| + a (u + pi) + tol, and u <= R_k,
+# the fixed point of R = log(2 pi |k| + max|rhs| + a (R + pi) + tol): the
+# right side grows slower than R, so its iteration from above stays above.
+# As F' = a - e^x = B + r - a (x - 1), for 0 <= u <= R_k
+#     |F'| >= 2 pi |k| - max|rhs| - a (1 + R_k + pi) - tol = L_k,
+# and L_k > 0 rules out u < 0: then |e^x| < 1 would give
+# 2 pi |k| - max|rhs| <= |Im B| < a pi + 1 + tol.  _LIFT_SLACK lowers L_k
+# past the rounding of the residual gate, of the strip edge and of L_k
+# itself, each below 1e-11 while the terms stay under 1e4.
+# Beyond its k_secondary a target has at most one root per lift, so a probe
+# with k_secondary <= _K_FIRST and no first-stage miss adds at most
+# 2 sum L_k^-t (_K_FIRST < k <= _K_PROBE) to its first-stage sum.  The pairs
+# the full solve adds run only the asymptotic seed of their own lift, so its
+# roots at |k| <= _K_FIRST are the first stage's, but for a root that a far
+# pair finds shifted by a lift: a copy within 2 tol / |F'| of the one it
+# displaces, whose weight moves by a relative 3 t tol / |F'| at most.
+# _SUP_SLACK (1 + t) covers that where |F'| >= 1 (tol = TOL = 1e-11), and
+# the rounding of the three sums (under 2^10 terms each, added in order:
+# 2.3e-13 each) and of the powers.
+_LIFT_SLACK = 1e-9
+_SUP_SLACK = 1e-10
+
+
+def _lift_bounds(a, rhs_max, tol):
+    """L_k for _K_FIRST < k <= _K_PROBE: |F'| >= L_k at every validated root
+    of lift +-k of a target with |rhs| <= rhs_max, wherever L_k > 0."""
+    ks = np.arange(_K_FIRST + 1, _K_PROBE + 1)
+    c = TWO_PI * ks + rhs_max + tol
+    r = c  # above R_k, as log(c + a (c + pi)) < c
+    for _ in range(40):
+        r = np.log(c + a * (r + math.pi))
+    return TWO_PI * ks - rhs_max - a * (1.0 + r + math.pi) - tol - _LIFT_SLACK
+
+
+class _SupProbe:
+    """One parameter's sup probe: the first stage, and the probes solved to
+    _K_PROBE so far.
+
+    unbounded marks the probes that the first stage does not bound: all of
+    them where some L_k <= 0, else those with a k_secondary beyond _K_FIRST
+    or a first-stage miss.  dabs and parent hold |F'| over the branches
+    |k| <= _K_FIRST of every other probe (and of those with a miss) and each
+    branch's probe index; lift holds L_k.  solved holds the probes solved in
+    full, their |F'| in branch order probe after probe, and each branch's
+    position among those probes.
+    """
+
+    def __init__(self, params, probes, dabs, parent, lift, unbounded):
+        self.params = params
+        self.probes = probes
+        self.dabs, self.parent, self.lift = dabs, parent, lift
+        self.unbounded = unbounded
+        self.solved = (np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
+        self._lock = threading.Lock()
+
+    def bounds(self, t):
+        """(first, bound): every probe's first-stage sum at t, and a bound on
+        its sum to _K_PROBE (inf where the first stage bounds nothing)."""
+        n = self.probes.size
+        first = np.bincount(self.parent, weights=self.dabs ** (-t), minlength=n)
+        bound = np.full(n, math.inf)
+        ok = ~self.unbounded
+        if ok.any():
+            tail = 2.0 * float((self.lift ** (-t)).sum())
+            bound[ok] = (first[ok] + tail) * (1.0 + _SUP_SLACK * (1.0 + t))
+        return first, bound
+
+    def full_sums(self, want, t):
+        """Solve the probes in `want` that are not solved yet; every solved
+        probe's index and exact sum at t."""
+        with self._lock:
+            ids, dabs, pos = self.solved
+            todo = np.setdiff1d(want, ids)
+            if todo.size:
+                parent, _, _, der = preimage_arrays(self.params, self.probes[todo],
+                                                    _K_PROBE)
+                self.solved = (np.concatenate([ids, todo]),
+                               np.concatenate([dabs, np.abs(der)]),
+                               np.concatenate([pos, parent + ids.size]))
+            ids, dabs, pos = self.solved
+        return ids, np.bincount(pos, weights=dabs ** (-t), minlength=ids.size)
+
+
 @functools.lru_cache(maxsize=4)
 def _sup_l1_probe(params: MapParams):
-    """Geometry of the sup probe, built once per parameter.
+    """The sup probe of one parameter, built once: every probe that the
+    bounds can serve solved for |k| <= _K_FIRST (65 pairs each), as a
+    _SupProbe.
 
     Probes are themselves Julia points: the base point (a repelling fixed
     point) and its first two preimage generations (the Julia set is backward
     invariant), so the estimate is not inflated by Fatou regions near the
-    critical value.  Returns |F'| over every branch |k| <= _K_PROBE of every
-    probe, grouped by probe, and each branch's probe index (int16: there are
-    about a thousand probes); neither depends on t.  One entry holds about
-    half a million branches, hence the small cache.
+    critical value; there are about a thousand.  The probes that _sup_l1
+    solves to _K_PROBE are kept with the entry.
     """
     base = default_base_point(params)
     _, _, x1, _ = preimage_arrays(params, np.array([base]), 24)
     _, _, x2, _ = preimage_arrays(params, x1, 8)
     probes = np.concatenate([[base], x1, x2])
-    parent, _, _, der = preimage_arrays(params, probes, _K_PROBE)
-    dabs = np.abs(der)
-    parent = parent.astype(np.int16)
-    dabs.flags.writeable = False
-    parent.flags.writeable = False
-    return dabs, parent
+    rhs = np.abs(probes - params.affine_term)
+    lift = _lift_bounds(params.ell, float(rhs.max()), defaults.TOL)
+    unbounded = k_secondary(params.ell, rhs) > _K_FIRST
+    if (lift <= 0).any():
+        unbounded[:] = True
+    # the first stage of a probe it cannot bound would only be thrown away
+    bounded = np.flatnonzero(~unbounded)
+    parent, dabs = np.empty(0, np.int64), np.empty(0)
+    if bounded.size:
+        parent, _, _, der, missed, _ = preimage_arrays(
+            params, probes[bounded], _K_FIRST, track_misses=True)
+        parent, dabs = bounded[parent], np.abs(der)
+        unbounded[bounded[missed]] = True
+    for col in (probes, dabs, parent, lift, unbounded):
+        col.flags.writeable = False
+    return _SupProbe(params, probes, dabs, parent, lift, unbounded)
 
 
 def _sup_l1(params: MapParams, t: float) -> float:
-    """Runtime estimate of sup of L_t 1 over the Julia set.
+    """Runtime estimate of sup of L_t 1 over the Julia set: the largest
+    per-probe sum of |F'|^-t over |k| <= _K_PROBE, plus the k-tail bound.
 
-    The probe geometry comes from the per-parameter cache; only the weights
-    |F'|^-t are evaluated here, per t, and summed per probe in branch order.
+    A probe is solved to _K_PROBE only if it has the largest first-stage sum,
+    the first stage does not bound it, or its bound (first-stage sum plus
+    2 sum L_k^-t, widened by _SUP_SLACK) reaches the largest exact sum; every
+    other probe's sum lies below that one.  Each exact sum adds its probe's
+    branches in branch order, and a probe's roots do not depend on the
+    probes solved with it, so the result is the one full solve's bit for bit.
     """
-    dabs, parent = _sup_l1_probe(params)
-    sums = np.bincount(parent, weights=dabs ** (-t))
-    return float(sums.max() + tail_bound_value(_K_PROBE, t))
+    probe = _sup_l1_probe(params)
+    first, bound = probe.bounds(t)
+    want = np.append(np.flatnonzero(probe.unbounded), np.argmax(first))
+    while True:
+        ids, sums = probe.full_sums(want, t)
+        best = sums.max()
+        want = np.flatnonzero(~(bound < best))
+        if np.isin(want, ids).all():
+            return float(best + tail_bound_value(_K_PROBE, t))
 
 
 # ------------------------------------------------------------- tree builder

@@ -1,6 +1,7 @@
 import cmath
 import importlib
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from bowendim import (MapParams, apply_transfer, bowen_dimension,
                       periodic_points, pressure_ratio, transfer_level_sums,
                       zeta_pressure)
 from bowendim.errors import TNotSummable
-from bowendim.preimages import preimage_arrays, tail_bound_value
+from bowendim.preimages import k_secondary, preimage_arrays, tail_bound_value
 from bowendim.transfer import (ChildTable, LevelNodes, _grow, _Levels,
                                _shadow_cycles, _sup_l1, _sup_l1_probe,
                                default_base_point)
@@ -241,6 +242,159 @@ def test_sup_probe_built_once_per_parameter():
     assert _sup_l1_probe.cache_info().misses == 1
 
 
+def _sup_reference(p, ts):
+    """_sup_l1 at each t from one K = 256 solve of every probe, and every
+    probe's sum at each t."""
+    base = default_base_point(p)
+    _, _, x1, _ = preimage_arrays(p, np.array([base]), 24)
+    _, _, x2, _ = preimage_arrays(p, x1, 8)
+    probes = np.concatenate([[base], x1, x2])
+    parent, _, _, der = preimage_arrays(p, probes, 256)
+    values, sums = [], []
+    for t in ts:
+        sums.append(np.zeros(probes.size))
+        np.add.at(sums[-1], parent, np.abs(der) ** (-t))
+        values.append(float(sums[-1].max() + tail_bound_value(256, t)))
+    return values, sums
+
+
+_SUP_TS = (1.01, 1.05, 1.2, 1.46, 1.8, 2.5, 4.0, 9.0)
+
+
+def test_lift_bound_soundness(monkeypatch):
+    # every validated root of lift 32 < |k| <= 256 has |F'| >= L_k; targets on
+    # the strip edges, far left and far right stretch |rhs| and the root's Im
+    ks_first, ks_probe = transfer_mod._K_FIRST, transfer_mod._K_PROBE
+    worst = math.inf
+    for ell in range(2, 7):
+        for c in (ell, ell + 0.7j):
+            p = MapParams(ell, c)
+            targets = np.array([complex(re, s * math.pi)
+                                for re in np.linspace(-2 * ell, 8, 11)
+                                for s in (1, -1)])
+            rhs = np.abs(targets - p.affine_term)
+            # the one-root-per-lift claim holds beyond k_secondary
+            assert k_secondary(ell, rhs).max() <= ks_first
+            _, k, _, der, mi, _ = preimage_arrays(p, targets, ks_probe,
+                                                  track_misses=True)
+            assert mi.size == 0
+            far = np.abs(k) > ks_first
+            assert far.sum() == 2 * (ks_probe - ks_first) * targets.size
+            lift = transfer_mod._lift_bounds(ell, float(rhs.max()), defaults.TOL)
+            assert lift.size == ks_probe - ks_first and lift.min() > 0
+            ratio = np.abs(der[far]) / lift[np.abs(k[far]) - ks_first - 1]
+            assert ratio.min() >= 1.0
+            worst = min(worst, float(ratio.min()))
+    assert worst < 1.05  # the bound is within 5% of some |F'|
+    # a large ell: some L_k <= 0, so every probe is solved in full, and L_k
+    # still bounds every root of a lift where it is positive; each probe's
+    # k_secondary beyond 32 would send it to the full solve as well, so it is
+    # taken out of play
+    p = MapParams(20, 20.0)
+    _sup_l1_probe.cache_clear()
+    monkeypatch.setattr(transfer_mod, "k_secondary",
+                        lambda a, rhs: np.zeros(np.shape(rhs), np.int64))
+    probe = _sup_l1_probe(p)
+    assert probe.lift.min() <= 0 and probe.unbounded.all()
+    assert _sup_l1(p, 1.5) == _sup_reference(p, [1.5])[0][0]
+    assert probe.solved[0].size == probe.probes.size
+    _, k, _, der = preimage_arrays(p, probe.probes, ks_probe)
+    far = np.abs(k) > ks_first
+    lift = probe.lift[np.abs(k[far]) - ks_first - 1]
+    assert (lift > 0).any()
+    assert np.all(np.abs(der[far])[lift > 0] >= lift[lift > 0])
+    _sup_l1_probe.cache_clear()
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_sup_l1_bits_match_one_full_solve(ell):
+    rng = np.random.default_rng(1200 + ell)
+    for r in (0.3, 0.7, 0.95):
+        th = rng.uniform(0.0, 2.0 * math.pi)
+        p = MapParams(ell, complex(ell + r * math.cos(th), r * math.sin(th)))
+        values, sums = _sup_reference(p, _SUP_TS)
+        assert [_sup_l1(p, t) for t in _SUP_TS] == values
+        probe = _sup_l1_probe(p)
+        assert not probe.unbounded.any()
+        assert 0 < probe.solved[0].size < probe.probes.size // 20
+        for t, ref in zip(_SUP_TS, sums):
+            first, bound = probe.bounds(t)
+            assert np.all(first <= ref) and np.all(ref <= bound)
+
+
+@pytest.mark.parametrize("mode", ["miss", "largest"])
+def test_weakest_probe_misleads_first_stage(monkeypatch, mode):
+    # the weakest probe gets a first-stage miss, or a first-stage sum above
+    # every other one; it is solved in full, and the result does not move
+    p = MapParams(3, 3.2 - 0.3j)
+    ts = (1.2, 1.8)
+    values, sums = _sup_reference(p, ts)
+    weakest = int(np.argmin(sums[0]))
+    assert weakest != int(np.argmax(sums[0]))
+
+    solve = transfer_mod.preimage_arrays
+
+    def first_stage(params, targets, kmax, **kwargs):
+        i, k, x, d, *miss = solve(params, targets, kmax, **kwargs)
+        if not (kwargs.get("track_misses") and kmax == transfer_mod._K_FIRST):
+            return (i, k, x, d, *miss)
+        mi, mk = miss
+        if mode == "miss":
+            return i, k, x, d, np.append(mi, weakest), np.append(mk, 20)
+        return i, k, x, np.where(i == weakest, d / 1e3, d), mi, mk
+
+    _sup_l1_probe.cache_clear()
+    monkeypatch.setattr(transfer_mod, "preimage_arrays", first_stage)
+    try:
+        probe = _sup_l1_probe(p)
+        unbounded = [weakest] if mode == "miss" else []
+        assert np.flatnonzero(probe.unbounded).tolist() == unbounded
+        assert [_sup_l1(p, t) for t in ts] == values
+        assert weakest in probe.solved[0]
+        assert int(np.argmax(sums[0])) in probe.solved[0]
+    finally:
+        _sup_l1_probe.cache_clear()
+
+
+def test_sup_probe_solve_counts(params22, solved_pairs):
+    _sup_l1_probe.cache_clear()
+    solved_pairs.append(0)
+    probe = _sup_l1_probe(params22)
+    solved_pairs.append(0)
+    _sup_l1(params22, 1.37)
+    solved_pairs.append(0)
+    _sup_l1(params22, 1.37)
+    # the base point to |k| <= 24, its 51 preimages to 8, then all 1,021
+    # probes to _K_FIRST = 32 (to 256 there would be 523,773 pairs); a new t
+    # solves a few probes to 256, and the same t none
+    assert probe.probes.size == 1021
+    assert solved_pairs[0] == 49 + 17 * 51 + 65 * 1021 == 67_281
+    assert 0 < solved_pairs[1] <= 4 * 513 and solved_pairs[1] % 513 == 0
+    assert solved_pairs[2] == 0
+    _sup_l1_probe.cache_clear()
+
+
+def test_sup_l1_two_threads_one_parameter(params22):
+    ts = (1.1, 2.5)
+    want = _sup_reference(params22, ts)[0]
+    _sup_l1_probe.cache_clear()
+    _sup_l1_probe(params22)
+    barrier = threading.Barrier(2)
+    got = {}
+
+    def run(t):
+        barrier.wait()
+        got[t] = _sup_l1(params22, t)
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in ts]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert [got[t] for t in ts] == want
+    _sup_l1_probe.cache_clear()
+
+
 # ----------------------------------------------------------- children table
 
 def _tree_bits(lv):
@@ -259,7 +413,8 @@ def solved_pairs(monkeypatch):
     solve = transfer_mod.preimage_arrays
 
     def spy(params, targets, kmax, **kwargs):
-        counts[-1] += int((2 * np.asarray(kmax) + 1).sum())
+        kmax = np.broadcast_to(kmax, np.shape(np.atleast_1d(targets)))
+        counts[-1] += int((2 * kmax + 1).sum())
         return solve(params, targets, kmax, **kwargs)
 
     monkeypatch.setattr(transfer_mod, "preimage_arrays", spy)
