@@ -76,9 +76,6 @@ class CylinderPoint:
     def __complex__(self) -> complex:
         return self.z
 
-    def distance(self, other) -> float:
-        return cylinder_distance(self.z, _val(other))
-
 
 @dataclass(frozen=True)
 class MapParams:
@@ -104,11 +101,6 @@ class MapParams:
     @property
     def log_c(self) -> complex:
         return cmath.log(self.c)
-
-    @property
-    def attracting_fixed_point(self) -> complex:
-        """log(c), fixed with multiplier ell - c."""
-        return self.log_c
 
     @property
     def multiplier(self) -> complex:

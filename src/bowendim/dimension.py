@@ -99,7 +99,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     base = default_base_point(params)
     evals = 0
     trace = []
-    children = ChildTable()
+    children = ChildTable(params, defaults.TOL)
 
     def est_at(t, acc, extra=0):
         nonlocal evals
@@ -184,5 +184,5 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
                   "holds %d targets, %d roots; sup probe solved %d probes in "
                   "full", params, children.pairs_solved,
                   children.pairs_requested, len(children.entries),
-                  children.roots, _sup_l1_probe(params).solved[0].size)
+                  children.roots, _sup_l1_probe(params).full.sum())
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

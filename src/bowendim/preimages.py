@@ -201,28 +201,25 @@ def _one_k_per_cell(a, max_abs_ex, radius, tol):
 
 
 def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
-                          tol=defaults.TOL, dense_spacing=None,
-                          track_misses=False):
+                          tol=defaults.TOL, dense_spacing=None):
     """Solve a*x - e^x = rhs_base[i] + 2*pi*i*k for the given (i, k) pairs.
 
-    Returns (i, k, x, e^x[, miss_i, miss_k]) flat arrays of validated strip
-    roots, deduplicated per target and re-indexed after canonicalisation.
+    Returns (i, k, x, e^x) flat arrays of validated strip roots,
+    deduplicated per target and re-indexed after canonicalisation.
     ``kmax_by_i`` bounds the lift indices kept per target.  Robust seeds are
     added for |k| up to the target's own structural cutoff k_secondary, so
     each target's output depends on that target alone, whatever else its
     call solves.  A dense rectangular grid (module-grade completeness) is
     added there too when dense_spacing is given.
 
-    Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; a table
-    over the slots stands in for sorting in the dedupe and the miss check.
-    Miss tracking needs the pairs to fill most of their slot range, as
-    preimage_arrays builds them.
+    Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; where the
+    pairs fill most of their slot range, a table over the slots stands in for
+    sorting in the dedupe.
 
     A large call whose pair_i is non-decreasing is solved in contiguous
     target blocks, on the solver pool when called from the main thread and
     in turn on the calling thread otherwise; the blocks are joined in target
-    order and the miss check runs once over the whole call.  The output is
-    bit-identical for any blocks and threads.
+    order.  The output is bit-identical for any blocks and threads.
     """
     rhs_base = np.asarray(rhs_base, dtype=np.complex128)
     pair_i = np.asarray(pair_i, dtype=np.int64)
@@ -239,8 +236,6 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     # the table has n_slots entries: a pair set far sparser than its slot
     # range (one distant branch, as inverse_branch asks for) gets none
     table = n_slots <= 2 * pair_k.size + 64
-    if track_misses and not table:
-        raise ValueError("miss tracking needs the pairs to fill their slots")
 
     def block(lo, hi):
         is_, ks, xc, ex = _strip_candidates(
@@ -267,18 +262,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
         # the dedupe sorts by target first, so joining the blocks in target
         # order gives the one-block output
         parts = [tuple(np.concatenate(col) for col in zip(*parts))]
-    is_, ks, xc, ex = parts[0]
-    if not track_misses:
-        return is_, ks, xc, ex
-
-    # fast-path pairs beyond the structural cutoff must each own one root
-    marked = np.zeros(n_slots, dtype=bool)
-    marked[zero[is_] + ks] = True
-    fast = np.abs(pair_k) > k_sec[pair_i]
-    fi, fk = pair_i[fast], pair_k[fast]
-    found = np.abs(fk) <= kmax_arr[fi]
-    found[found] = marked[zero[fi[found]] + fk[found]]
-    return is_, ks, xc, ex, fi[~found], fk[~found]
+    return parts[0]
 
 
 # A call of at least _SPLIT_PAIRS pairs gets blocks of at most _BLOCK_PAIRS
@@ -397,24 +381,27 @@ def _uniform_pairs(n_targets, kmax):
 
 
 def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
-                    dense_spacing=None, track_misses=False):
+                    dense_spacing=None):
     """Flat preimage enumeration used by the transfer machinery.
 
     targets: complex array of canonical cylinder points.
     kmax: scalar or per-target truncation half-width.
-    Returns (parent_index, k, x, f'(x)) plus miss pairs when requested.
+    Returns (parent_index, k, x, f'(x), miss_i, miss_k): the validated roots,
+    and the pairs beyond their target's k_secondary that own no root (each
+    of them must own exactly one), in (target, k) order.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=np.complex128))
     pair_i, pair_k, kmax_arr = _uniform_pairs(targets.size, kmax)
     rhs = targets - params.affine_term
-    out = solve_strip_equations(params.ell, rhs, pair_i, pair_k, kmax_arr,
-                                tol=tol, dense_spacing=dense_spacing,
-                                track_misses=track_misses)
-    if track_misses:
-        is_, ks, xc, ex, mi, mk = out
-        return is_, ks, xc, params.ell - ex, mi, mk
-    is_, ks, xc, ex = out
-    return is_, ks, xc, params.ell - ex
+    is_, ks, xc, ex = solve_strip_equations(params.ell, rhs, pair_i, pair_k,
+                                            kmax_arr, tol=tol,
+                                            dense_spacing=dense_spacing)
+    # the pairs enumerate every slot once, in order: pair j is slot j
+    zero = np.cumsum(2 * kmax_arr + 1) - kmax_arr - 1
+    marked = np.zeros(pair_k.size, dtype=bool)
+    marked[zero[is_] + ks] = True
+    miss = ~marked & (np.abs(pair_k) > k_secondary(params.ell, np.abs(rhs))[pair_i])
+    return is_, ks, xc, params.ell - ex, pair_i[miss], pair_k[miss]
 
 
 # ---------------------------------------------------------------- tail bound
@@ -514,8 +501,7 @@ def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL,
         raise ValueError("K must be >= 1")
     wt = canonical(complex(_as_c(w)))
     is_, ks, xs, ders, mi, mk = preimage_arrays(
-        params, np.array([wt]), K, tol=tol, dense_spacing=seed_spacing,
-        track_misses=True)
+        params, np.array([wt]), K, tol=tol, dense_spacing=seed_spacing)
     order = np.lexsort((ks, xs.imag, xs.real, np.abs(ks)))
     ks, xs, ders = ks[order], xs[order], ders[order]
 
@@ -543,7 +529,7 @@ def _as_c(z):
 def _branch_roots_single(params: MapParams, target: complex, k: int, tol):
     """All validated roots of one branch equation for one target."""
     rhs = np.array([target - params.affine_term])
-    pair_i = np.zeros(1 + 0, dtype=np.int64)
+    pair_i = np.zeros(1, dtype=np.int64)
     pair_k = np.array([k], dtype=np.int64)
     kmax = np.array([abs(k)], dtype=np.int64)
     is_, ks, xs, ex = solve_strip_equations(params.ell, rhs, pair_i, pair_k,

@@ -20,12 +20,14 @@ their branches |k| <= 32 are solved once per parameter; per t, closed-form
 bounds on the branches beyond 32 leave only a few probes that may hold the
 maximum, and only those are solved to 256 (once per parameter as well).
 
-Every tree draws its children from a ChildTable, which keeps each solved
-target's roots and |F'| for the next node that reaches the same target with
-the same truncation.  bowen_dimension hands one table down to all of its
-trees, so the trees grown for different t share their nodes' branch
-equations; any other tree gets a table of its own, which still solves the
-base point's fixed-point preimage, found again at every level, only once.
+Every branch solve goes through a ChildTable, which keeps each solved
+target's roots and |F'| for the next call that reaches the same target with
+the same truncation; a table belongs to one parameter and one tolerance.
+bowen_dimension hands one table down to all of its trees, so the trees grown
+for different t share their nodes' branch equations; any other tree gets a
+table of its own, which still solves the base point's fixed-point preimage,
+found again at every level, only once.  The sup probe draws its solves from
+a table of its own.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ log = logging.getLogger(__name__)
 _PAIR_CHUNK = 2_000_000
 _K_PROBE = 256  # branch truncation of the sup probe
 _K_FIRST = 32   # every probe is solved this far; only contenders to _K_PROBE
+_K_LIMIT = int(np.iinfo(np.int16).max)  # ChildTable keeps lift indices as int16
 
 
 @dataclass(frozen=True)
@@ -156,17 +159,16 @@ class _SupProbe:
     them where some L_k <= 0, else those with a k_secondary beyond _K_FIRST
     or a first-stage miss.  dabs and parent hold |F'| over the branches
     |k| <= _K_FIRST of every other probe (and of those with a miss) and each
-    branch's probe index; lift holds L_k.  solved holds the probes solved in
-    full, their |F'| in branch order probe after probe, and each branch's
-    position among those probes.
+    branch's probe index; lift holds L_k.  full marks the probes solved to
+    _K_PROBE, whose solves the table keeps.
     """
 
-    def __init__(self, params, probes, dabs, parent, lift, unbounded):
-        self.params = params
+    def __init__(self, table, probes, dabs, parent, lift, unbounded):
+        self.table = table
         self.probes = probes
         self.dabs, self.parent, self.lift = dabs, parent, lift
         self.unbounded = unbounded
-        self.solved = (np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))
+        self.full = np.zeros(probes.size, dtype=bool)
         self._lock = threading.Lock()
 
     def bounds(self, t):
@@ -182,19 +184,14 @@ class _SupProbe:
         return first, bound
 
     def full_sums(self, want, t):
-        """Solve the probes in `want` that are not solved yet; every solved
-        probe's index and exact sum at t."""
+        """Solve the probes in `want` to _K_PROBE; every probe so solved, and
+        its exact sum at t."""
         with self._lock:
-            ids, dabs, pos = self.solved
-            todo = np.setdiff1d(want, ids)
-            if todo.size:
-                parent, _, _, der = preimage_arrays(self.params, self.probes[todo],
-                                                    _K_PROBE)
-                self.solved = (np.concatenate([ids, todo]),
-                               np.concatenate([dabs, np.abs(der)]),
-                               np.concatenate([pos, parent + ids.size]))
-            ids, dabs, pos = self.solved
-        return ids, np.bincount(pos, weights=dabs ** (-t), minlength=ids.size)
+            self.full[want] = True
+            ids = np.flatnonzero(self.full)
+            parent, _, _, dabs, _, _ = self.table.solve(
+                self.probes[ids], np.full(ids.size, _K_PROBE), math.inf)
+        return ids, np.bincount(parent, weights=dabs ** (-t), minlength=ids.size)
 
 
 @functools.lru_cache(maxsize=4)
@@ -206,13 +203,19 @@ def _sup_l1_probe(params: MapParams):
     Probes are themselves Julia points: the base point (a repelling fixed
     point) and its first two preimage generations (the Julia set is backward
     invariant), so the estimate is not inflated by Fatou regions near the
-    critical value; there are about a thousand.  The probes that _sup_l1
-    solves to _K_PROBE are kept with the entry.
+    critical value; there are about a thousand.  Every solve goes through
+    one ChildTable, which keeps only the probes that _sup_l1 solves to
+    _K_PROBE: nothing reads the solves made here again.
     """
-    base = default_base_point(params)
-    _, _, x1, _ = preimage_arrays(params, np.array([base]), 24)
-    _, _, x2, _ = preimage_arrays(params, x1, 8)
-    probes = np.concatenate([[base], x1, x2])
+    table = ChildTable(params, defaults.TOL)
+
+    def solve(targets, kmax):
+        return table.solve(targets, np.full(targets.size, kmax), 0)
+
+    base = np.array([default_base_point(params)])
+    x1 = solve(base, 24)[2]
+    x2 = solve(x1, 8)[2]
+    probes = np.concatenate([base, x1, x2])
     rhs = np.abs(probes - params.affine_term)
     lift = _lift_bounds(params.ell, float(rhs.max()), defaults.TOL)
     unbounded = k_secondary(params.ell, rhs) > _K_FIRST
@@ -222,13 +225,12 @@ def _sup_l1_probe(params: MapParams):
     bounded = np.flatnonzero(~unbounded)
     parent, dabs = np.empty(0, np.int64), np.empty(0)
     if bounded.size:
-        parent, _, _, der, missed, _ = preimage_arrays(
-            params, probes[bounded], _K_FIRST, track_misses=True)
-        parent, dabs = bounded[parent], np.abs(der)
+        parent, _, _, dabs, missed, _ = solve(probes[bounded], _K_FIRST)
+        parent = bounded[parent]
         unbounded[bounded[missed]] = True
     for col in (probes, dabs, parent, lift, unbounded):
         col.flags.writeable = False
-    return _SupProbe(params, probes, dabs, parent, lift, unbounded)
+    return _SupProbe(table, probes, dabs, parent, lift, unbounded)
 
 
 def _sup_l1(params: MapParams, t: float) -> float:
@@ -256,36 +258,37 @@ def _sup_l1(params: MapParams, t: float) -> float:
 # ------------------------------------------------------------- tree builder
 
 class ChildTable:
-    """The children of every target solved during one Bowen solve or tree.
+    """The solved branches of every target of one parameter and tolerance,
+    for one Bowen solve, one tree or one sup probe.
 
     The trees of one Bowen solve differ in t, but their nodes keep solving
     the same branch equations; only the weights |F'|^-t change.  One
     target's solve output (its roots in (real, imag) order and its missed k
-    in ascending order) is a pure function of (ell, tol, the target's bits,
-    kmax), whatever else its call solves, so the table maps that key to what
-    _grow reads of it: the lift index (int16, as |k| <= K <= 16384), the
-    root, |F'| and the missed k, as one target's slice of its solve's
-    compact columns.  The target is keyed by its raw bits, as +0.0 and -0.0
-    lie on opposite sides of Log's branch cut.  A solve stores nothing once
-    the table holds `limit` roots (the node budget of the tree being grown),
-    so the table exceeds it by at most one chunk's roots; lookups go on, and
-    the output bits do not depend on what is cached.
+    in ascending order) depends on the target's bits and kmax alone, whatever
+    else its call solves, so the table maps that key to what its readers
+    need of it: the lift index, the root, |F'| and the missed k, as one
+    target's slice of its solve's compact columns.  Lift indices are int16,
+    which _grow guards by bounding K.  The target is keyed by its raw bits,
+    as +0.0 and -0.0 lie on opposite sides of Log's branch cut.  A solve
+    stores nothing once the table holds `limit` roots (the node budget of
+    the tree being grown), so the table exceeds it by at most one chunk's
+    roots; lookups go on, and the output bits do not depend on what is
+    cached.
     """
 
-    def __init__(self):
+    def __init__(self, params, tol):
+        self.params, self.tol = params, tol
         self.entries = {}
         self.roots = 0
         self.pairs_requested = 0
         self.pairs_solved = 0
 
-    def solve(self, params, targets, kmax, tol, limit):
-        """preimage_arrays(params, targets, kmax, track_misses=True), with k
-        as int16 and |F'| in place of F', solving only the targets the table
-        does not hold.  The k, x and |F'| arrays may be read-only views."""
-        ell = params.ell
+    def solve(self, targets, kmax, limit):
+        """preimage_arrays(params, targets, kmax, tol=tol), with k as int16
+        and |F'| in place of F', solving only the targets the table does not
+        hold.  The k, x and |F'| arrays may be read-only views."""
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
-        keys = [(ell, tol, re, im, km)
-                for (re, im), km in zip(bits.tolist(), kmax.tolist())]
+        keys = [(re, im, km) for (re, im), km in zip(bits.tolist(), kmax.tolist())]
         rows = [self.entries.get(key) for key in keys]
         todo = [j for j, row in enumerate(rows) if row is None]
         self.pairs_requested += int((2 * kmax + 1).sum())
@@ -293,9 +296,9 @@ class ChildTable:
             sub = np.array(todo)
             self.pairs_solved += int((2 * kmax[sub] + 1).sum())
             si, sk, sx, sd, smi, smk = preimage_arrays(
-                params, targets[sub], kmax[sub], tol=tol, track_misses=True)
-            # what _grow reads, compact and read-only; a row is one target's
-            # slice of it
+                self.params, targets[sub], kmax[sub], tol=self.tol)
+            # what the readers need, compact and read-only; a row is one
+            # target's slice of it
             cols = (sk.astype(np.int16), sx, np.abs(sd), smk.astype(np.int16))
             for col in cols:
                 col.flags.writeable = False
@@ -491,12 +494,18 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError("n must be >= 1")
     if K < 1:
         raise ValueError("K must be >= 1")
+    if K > _K_LIMIT:
+        raise ValueError(f"K must be <= {_K_LIMIT}, got {K}")
     if prune < 0:
         raise ValueError("prune must be >= 0")
+    own_table = children is None
+    if own_table:
+        children = ChildTable(params, tol)
+    elif (children.params, children.tol) != (params, tol):
+        raise ValueError("the children table belongs to another parameter "
+                         "or tolerance")
     base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
     k_lo = min(defaults.k_min(params.ell, params.c), K)
-    own_table = children is None
-    children = children or ChildTable()
 
     lv = _Levels(params, t, base, K, prune, int(budget))
     x = np.array([base], dtype=np.complex128)
@@ -539,8 +548,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
                                      + _PAIR_CHUNK, side="left")) + 1
             hi = max(hi, start + 1)
             sl = slice(start, min(hi, xk.size))
-            ci, ck, cx, cdabs, mi, mk = children.solve(
-                params, xk[sl], kk[sl], tol, limit)
+            ci, ck, cx, cdabs, mi, mk = children.solve(xk[sl], kk[sl], limit)
             cw = wk[sl][ci] * cdabs ** (-t)
             if mi.size:
                 lv.misses += int(mi.size)
@@ -585,8 +593,9 @@ def transfer_level_sums(params: MapParams, t: float, z, n: int,
                         budget: int = defaults.NODE_BUDGET, *, children=None):
     """S_0 .. S_n with error accounting, S_j = (truncated) L_t^j 1 (z).
 
-    ``children`` is a ChildTable shared by the trees of one Bowen solve;
-    without it the tree gets a table of its own.
+    ``children`` is a ChildTable of this parameter and tolerance, shared by
+    the trees of one Bowen solve; without it the tree gets a table of its
+    own.
     """
     lv = _grow(params, t, z, n, K, prune, budget, children=children)
     return lv.weighted(n)
@@ -825,10 +834,6 @@ class AtomicMeasure:
     t: float
     depth: int
     base: CylinderPoint
-
-    def atoms(self):
-        return [(CylinderPoint.from_complex(p), float(m))
-                for p, m in zip(self.points, self.masses)]
 
     @property
     def total_mass(self):

@@ -132,7 +132,7 @@ def dedupe_reference(i_idx, ks, xs, exs, radius):
 
 def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
                               dense_spacing=None):
-    """preimage_arrays(..., track_misses=True) finished the reference way.
+    """preimage_arrays(...) finished the reference way.
 
     The library's validated candidates (before deduplication) go through
     dedupe_reference, and a fast pair counts as missed unless some survivor

@@ -45,3 +45,16 @@ def test_bench_quick_sweep_grid_round():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_bench_traced_dim_base_round():
+    # the traced round counts the pairs solved through the names that
+    # bench/tracing.py wraps; a solve that bypassed them would go uncounted
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "dim-base",
+         "--seed", "1", "--seconds", "0", "--quick", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["metrics"]["preimages.pairs"]["value"] == 115_108

@@ -147,6 +147,13 @@ def test_usage_error_exit_code():
     assert e.value.code == 2
 
 
+def test_lift_index_beyond_int16_is_usage_error(tmp_path):
+    rc = main(["pressure", "--ell", "2", "--c", "2+0i", "--K", "40000",
+               "--out", str(tmp_path / "p.json")])
+    assert rc == 2
+    assert not (tmp_path / "p.json").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path):
     # an impossible tolerance forces the corrector to reject every step
     rc = main(["continue-orbit", "--ell", "2", "--c", "2+0i",

@@ -226,7 +226,7 @@ def _seeded_targets(ell, n, seed):
 def test_slot_table_matches_reference_path(ell, c, K):
     p = MapParams(ell, c)
     targets = _seeded_targets(ell, 12, K)
-    got = preimage_arrays(p, targets, K, track_misses=True)
+    got = preimage_arrays(p, targets, K)
     ref, _ = preimage_arrays_reference(p, targets, K)
     _same_bits(got, ref)
     if K == 4096:  # the absolute residual gate rejects roots at |k| ~ 1,800+
@@ -239,7 +239,7 @@ def test_slot_table_fallback_when_cells_can_span_k():
     p = MapParams(2, 2.0)
     targets = _seeded_targets(2, 4, 7)
     tol = 1e-3
-    got = preimage_arrays(p, targets, 64, tol=tol, track_misses=True)
+    got = preimage_arrays(p, targets, 64, tol=tol)
     ref, cand = preimage_arrays_reference(p, targets, 64, tol=tol)
     assert not _one_k_per_cell(2, float(np.abs(cand[3]).max()),
                                defaults.DEDUP_FACTOR * tol, tol)
@@ -253,8 +253,7 @@ def test_slot_table_with_many_small_k_duplicates():
         crit_value = canonical(evaluate(p, p.critical_point))
         targets = np.concatenate([[p.log_c, crit_value],
                                   _seeded_targets(ell, 3, 11)])
-        got = preimage_arrays(p, targets, 30, dense_spacing=0.35,
-                              track_misses=True)
+        got = preimage_arrays(p, targets, 30, dense_spacing=0.35)
         ref, cand = preimage_arrays_reference(p, targets, 30,
                                               dense_spacing=0.35)
         assert cand[0].size > 5 * got[0].size
@@ -324,9 +323,9 @@ def test_one_target_makes_no_pool(monkeypatch):
 def test_blocked_solve_matches_one_block(ell, c, K, small_blocks, monkeypatch):
     p = MapParams(ell, c)
     targets = _seeded_targets(ell, 12, K + 1)
-    ref = _one_block(lambda: preimage_arrays(p, targets, K, track_misses=True),
+    ref = _one_block(lambda: preimage_arrays(p, targets, K),
                      monkeypatch)
-    got = preimage_arrays(p, targets, K, track_misses=True)
+    got = preimage_arrays(p, targets, K)
     _same_bits(got, ref)
     if K == 4096:
         assert got[4].size > 0
@@ -348,8 +347,8 @@ def test_target_roots_do_not_depend_on_co_targets(blocks, request):
     z, far = -7.0 - 0.7j, -40.0 + 0.5j
     k_sec = preimages_mod.k_secondary
     assert k_sec(2, abs(z - p.affine_term)) < k_sec(2, abs(far - p.affine_term))
-    alone = preimage_arrays(p, [z], 64, track_misses=True)
-    both = preimage_arrays(p, [z, far], 64, track_misses=True)
+    alone = preimage_arrays(p, [z], 64)
+    both = preimage_arrays(p, [z, far], 64)
     rows = _target_rows(both, 0)
     assert rows[0].size > 0
     _same_bits(rows, _target_rows(alone, 0))
@@ -360,9 +359,9 @@ def test_blocked_solve_when_cells_can_span_k(small_blocks, monkeypatch):
     targets = _seeded_targets(2, 8, 7)
     tol = 1e-3
     radius = defaults.DEDUP_FACTOR * tol
-    ref = _one_block(lambda: preimage_arrays(p, targets, 64, tol=tol,
-                                             track_misses=True), monkeypatch)
-    got = preimage_arrays(p, targets, 64, tol=tol, track_misses=True)
+    ref = _one_block(lambda: preimage_arrays(p, targets, 64, tol=tol),
+                     monkeypatch)
+    got = preimage_arrays(p, targets, 64, tol=tol)
     _same_bits(got, ref)
     # the slot shortcut's guard fails in some block (one block per target)
     # the guard of the slot shortcut fails in the block holding the largest
@@ -375,9 +374,9 @@ def test_blocked_solve_with_dense_seeds(small_blocks, monkeypatch):
     crit_value = canonical(evaluate(p, p.critical_point))
     targets = np.concatenate([[p.log_c, crit_value],
                               _seeded_targets(3, 4, 11)])
-    ref = _one_block(lambda: preimage_arrays(p, targets, 30, dense_spacing=0.35,
-                                             track_misses=True), monkeypatch)
-    got = preimage_arrays(p, targets, 30, dense_spacing=0.35, track_misses=True)
+    ref = _one_block(lambda: preimage_arrays(p, targets, 30, dense_spacing=0.35),
+                     monkeypatch)
+    got = preimage_arrays(p, targets, 30, dense_spacing=0.35)
     _same_bits(got, ref)
 
 

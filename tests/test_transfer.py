@@ -231,10 +231,10 @@ def test_sup_probe_built_once_per_parameter():
     assert _sup_l1_probe.cache_info().misses == 1
     # reference: the probe tree rebuilt from scratch and summed per probe
     base = default_base_point(p)
-    _, _, x1, _ = preimage_arrays(p, np.array([base]), 24)
-    _, _, x2, _ = preimage_arrays(p, x1, 8)
+    x1 = preimage_arrays(p, np.array([base]), 24)[2]
+    x2 = preimage_arrays(p, x1, 8)[2]
     probes = np.concatenate([[base], x1, x2])
-    parent, _, _, der = preimage_arrays(p, probes, 256)
+    parent, _, _, der, _, _ = preimage_arrays(p, probes, 256)
     for t in (1.1, 1.46, 1.8, 2.5):
         sums = np.zeros(probes.size)
         np.add.at(sums, parent, np.abs(der) ** (-t))
@@ -246,10 +246,10 @@ def _sup_reference(p, ts):
     """_sup_l1 at each t from one K = 256 solve of every probe, and every
     probe's sum at each t."""
     base = default_base_point(p)
-    _, _, x1, _ = preimage_arrays(p, np.array([base]), 24)
-    _, _, x2, _ = preimage_arrays(p, x1, 8)
+    x1 = preimage_arrays(p, np.array([base]), 24)[2]
+    x2 = preimage_arrays(p, x1, 8)[2]
     probes = np.concatenate([[base], x1, x2])
-    parent, _, _, der = preimage_arrays(p, probes, 256)
+    parent, _, _, der, _, _ = preimage_arrays(p, probes, 256)
     values, sums = [], []
     for t in ts:
         sums.append(np.zeros(probes.size))
@@ -275,8 +275,7 @@ def test_lift_bound_soundness(monkeypatch):
             rhs = np.abs(targets - p.affine_term)
             # the one-root-per-lift claim holds beyond k_secondary
             assert k_secondary(ell, rhs).max() <= ks_first
-            _, k, _, der, mi, _ = preimage_arrays(p, targets, ks_probe,
-                                                  track_misses=True)
+            _, k, _, der, mi, _ = preimage_arrays(p, targets, ks_probe)
             assert mi.size == 0
             far = np.abs(k) > ks_first
             assert far.sum() == 2 * (ks_probe - ks_first) * targets.size
@@ -297,8 +296,8 @@ def test_lift_bound_soundness(monkeypatch):
     probe = _sup_l1_probe(p)
     assert probe.lift.min() <= 0 and probe.unbounded.all()
     assert _sup_l1(p, 1.5) == _sup_reference(p, [1.5])[0][0]
-    assert probe.solved[0].size == probe.probes.size
-    _, k, _, der = preimage_arrays(p, probe.probes, ks_probe)
+    assert probe.full.all()
+    _, k, _, der, _, _ = preimage_arrays(p, probe.probes, ks_probe)
     far = np.abs(k) > ks_first
     lift = probe.lift[np.abs(k[far]) - ks_first - 1]
     assert (lift > 0).any()
@@ -316,7 +315,7 @@ def test_sup_l1_bits_match_one_full_solve(ell):
         assert [_sup_l1(p, t) for t in _SUP_TS] == values
         probe = _sup_l1_probe(p)
         assert not probe.unbounded.any()
-        assert 0 < probe.solved[0].size < probe.probes.size // 20
+        assert 0 < probe.full.sum() < probe.probes.size // 20
         for t, ref in zip(_SUP_TS, sums):
             first, bound = probe.bounds(t)
             assert np.all(first <= ref) and np.all(ref <= bound)
@@ -336,7 +335,7 @@ def test_weakest_probe_misleads_first_stage(monkeypatch, mode):
 
     def first_stage(params, targets, kmax, **kwargs):
         i, k, x, d, *miss = solve(params, targets, kmax, **kwargs)
-        if not (kwargs.get("track_misses") and kmax == transfer_mod._K_FIRST):
+        if not np.all(kmax == transfer_mod._K_FIRST):
             return (i, k, x, d, *miss)
         mi, mk = miss
         if mode == "miss":
@@ -350,8 +349,8 @@ def test_weakest_probe_misleads_first_stage(monkeypatch, mode):
         unbounded = [weakest] if mode == "miss" else []
         assert np.flatnonzero(probe.unbounded).tolist() == unbounded
         assert [_sup_l1(p, t) for t in ts] == values
-        assert weakest in probe.solved[0]
-        assert int(np.argmax(sums[0])) in probe.solved[0]
+        assert probe.full[weakest]
+        assert probe.full[int(np.argmax(sums[0]))]
     finally:
         _sup_l1_probe.cache_clear()
 
@@ -426,7 +425,7 @@ def solved_pairs(monkeypatch):
 def test_child_table_trees_match_tableless(ell, c, K, solved_pairs):
     p = MapParams(ell, c)
     base = default_base_point(p)
-    table = ChildTable()
+    table = ChildTable(p, 1e-11)
     misses = 0
     for t in (1.3, 1.45, 1.6, 1.9):
         solved_pairs.append(0)
@@ -434,7 +433,7 @@ def test_child_table_trees_match_tableless(ell, c, K, solved_pairs):
                     children=table)
         solved_pairs.append(0)
         ref = _grow(p, t, base, 3, K, 1e-9, 100_000, keep_nodes=True,
-                    children=_Tableless())
+                    children=_Tableless(p))
         assert _tree_bits(got) == _tree_bits(ref)
         misses += got.misses
         # without kept nodes the last level is only counted; all cached here
@@ -450,16 +449,16 @@ def test_child_table_trees_match_tableless(ell, c, K, solved_pairs):
     assert table.pairs_requested == 2 * sum(solved_pairs[1::2])
 
 
-def _table_solve(table, p, targets, kmax, limit=10**9):
-    return table.solve(p, np.asarray(targets, dtype=complex),
-                       np.asarray(kmax, dtype=np.int64), 1e-11, limit)
+def _table_solve(table, targets, kmax, limit=10**9):
+    return table.solve(np.asarray(targets, dtype=complex),
+                       np.asarray(kmax, dtype=np.int64), limit)
 
 
 def _tableless(p, targets, kmax, tol=1e-11, solve=preimage_arrays):
     """What ChildTable.solve returns, from one table-less solve."""
     ci, ck, cx, cd, mi, mk = solve(
         p, np.asarray(targets, dtype=complex), np.asarray(kmax, dtype=np.int64),
-        tol=tol, track_misses=True)
+        tol=tol)
     return ci, ck.astype(np.int16), cx, np.abs(cd), mi, mk
 
 
@@ -467,8 +466,11 @@ class _Tableless:
     """A ChildTable stand-in that solves every target it is asked for
     through transfer.preimage_arrays and keeps nothing."""
 
-    def solve(self, params, targets, kmax, tol, limit):
-        return _tableless(params, targets, kmax, tol,
+    def __init__(self, params, tol=defaults.TOL):
+        self.params, self.tol = params, tol
+
+    def solve(self, targets, kmax, limit):
+        return _tableless(self.params, targets, kmax, self.tol,
                           transfer_mod.preimage_arrays)
 
 
@@ -482,7 +484,7 @@ def test_child_table_key(solved_pairs):
     # a target is solved again when kmax or its bits change, and not when
     # its co-targets do
     p = MapParams(2, 2.0)
-    table = ChildTable()
+    table = ChildTable(p, 1e-11)
     z = 0.3 + 1.1j
     far = -40.0 + 0.5j  # a large |rhs|, hence a large cutoff of its own
     on_axis, neg_zero = 2.0 + 0.0j, complex(2.0, -0.0)
@@ -492,7 +494,7 @@ def test_child_table_key(solved_pairs):
              ([on_axis, neg_zero], [5, 5], 0)]
     for targets, kmax, pairs in calls:
         solved_pairs.append(0)
-        _same_bits(_table_solve(table, p, targets, kmax),
+        _same_bits(_table_solve(table, targets, kmax),
                    _tableless(p, targets, kmax))
         assert solved_pairs[-1] == pairs
 
@@ -506,11 +508,11 @@ def test_child_table_bound_stops_inserts(solved_pairs):
     kmax = np.array([30, 60])
     for limit, stored, pairs in ((0, 0, [182] * 4), (1, 2, [182, 182, 0, 182]),
                                  (10**9, 4, [182, 182, 0, 0])):
-        table = ChildTable()
+        table = ChildTable(p, 1e-11)
         solved_pairs.clear()
         for targets in (first, second, first, second):
             solved_pairs.append(0)
-            _same_bits(_table_solve(table, p, targets, kmax, limit),
+            _same_bits(_table_solve(table, targets, kmax, limit),
                        _tableless(p, targets, kmax))
         assert len(table.entries) == stored and solved_pairs == pairs
         assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
@@ -521,8 +523,8 @@ def test_bowen_dimension_same_without_table(monkeypatch):
     rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
     grow = transfer_mod._grow
 
-    def grow_without_table(*args, children=None, **kwargs):
-        return grow(*args, children=_Tableless(), **kwargs)
+    def grow_without_table(params, *args, children=None, **kwargs):
+        return grow(params, *args, children=_Tableless(params), **kwargs)
 
     monkeypatch.setattr(transfer_mod, "_grow", grow_without_table)
     ref = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
@@ -540,7 +542,7 @@ def test_tree_solves_a_repeated_target_once(solved_pairs):
     got = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000)
     solved_pairs.append(0)
     ref = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000,
-                              children=_Tableless())
+                              children=_Tableless(p))
     assert solved_pairs[1:] == [88_520, 91_595]
     assert repr(got) == repr(ref)
 
@@ -551,18 +553,71 @@ def test_own_table_stores_no_last_level_solve(params22, base, monkeypatch):
     tables = []
 
     class Recorded(ChildTable):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, *args):
+            super().__init__(*args)
             tables.append(self)
 
     monkeypatch.setattr(transfer_mod, "ChildTable", Recorded)
     got = transfer_level_sums(params22, 1.5, base, 2, 64)
     (own,) = tables
-    shared = ChildTable()
+    shared = ChildTable(params22, defaults.TOL)
     ref = transfer_level_sums(params22, 1.5, base, 2, 64, children=shared)
     assert len(own.entries) == 1  # the base point, solved at level 1
     assert len(shared.entries) > 1
     assert repr(got) == repr(ref)
+
+
+def test_table_of_another_parameter_is_rejected(params22, base):
+    # a table's key leaves out the parameter: reading (2, 2)'s children at
+    # another c would give the (2, 2) sums
+    table = ChildTable(params22, defaults.TOL)
+    transfer_level_sums(params22, 1.5, base, 2, 64, children=table)
+    with pytest.raises(ValueError):
+        transfer_level_sums(MapParams(2, 2.3 + 0.1j), 1.5, base, 2, 64,
+                            children=table)
+    with pytest.raises(ValueError):
+        _grow(params22, 1.5, base, 2, 64, 1e-9, 100_000, tol=1e-10,
+              children=table)
+
+
+def test_lift_indices_fit_the_table(params22, base):
+    # ChildTable keeps lift indices as int16: K = 32,767 gives the table-less
+    # tree bit for bit, missed lifts beyond |k| ~ 1,800 included, and a
+    # larger K is refused
+    got = _grow(params22, 1.5, base, 1, 32_767, 0.0, 10**6, keep_nodes=True)
+    ref = _grow(params22, 1.5, base, 1, 32_767, 0.0, 10**6, keep_nodes=True,
+                children=_Tableless(params22))
+    assert got.misses > 0
+    assert _tree_bits(got) == _tree_bits(ref)
+    with pytest.raises(ValueError):
+        _grow(params22, 1.5, base, 1, 32_768, 0.0, 10**6)
+
+
+def test_grow_over_several_chunks(params22, base, monkeypatch):
+    # chunks of a few hundred pairs cut every level past the first into many
+    # solves; the nodes come out the same, and the sums to rounding, as the
+    # chunks add them in another order
+    ref = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
+                children=ChildTable(params22, defaults.TOL))
+    table = ChildTable(params22, defaults.TOL)
+    solves = []
+    solve = table.solve
+
+    def counted(targets, kmax, limit):
+        solves.append(targets.size)
+        return solve(targets, kmax, limit)
+
+    table.solve = counted
+    monkeypatch.setattr(transfer_mod, "_PAIR_CHUNK", 300)
+    got = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
+                children=table)
+    assert len(solves) > 3 * 3  # the default chunk makes one solve a level
+    assert _tree_bits(got)[1] == _tree_bits(ref)[1]
+    assert (got.stored, got.misses, got.budget_exceeded) \
+        == (ref.stored, ref.misses, ref.budget_exceeded)
+    for sums in ("values", "parent_cuts", "tail_cuts"):
+        np.testing.assert_allclose(getattr(got, sums), getattr(ref, sums),
+                                   rtol=1e-13, atol=0)
 
 
 def test_shadow_cycles_empty_leaf(params22):
