@@ -16,7 +16,7 @@ from .preimages import (Branch, PreimageSet, TailBound, fixed_points,
                         inverse_branch, preimage_arrays, preimages,
                         tail_weight_bound)
 from .transfer import (AtomicMeasure, FunctionSamples, PressureEstimate,
-                       PressureMethod, WeightedValue, apply_transfer,
+                       WeightedValue, apply_transfer,
                        best_ratio_estimate, conformal_atoms,
                        default_base_point, eigenfunction_iterate,
                        periodic_points, pressure_ratio, transfer_level_sums,
@@ -33,8 +33,8 @@ __all__ = [
     "derivative", "evaluate", "orbit_derivative", "param_derivative",
     "Branch", "PreimageSet", "TailBound", "fixed_points", "inverse_branch",
     "preimage_arrays", "preimages", "tail_weight_bound",
-    "AtomicMeasure", "FunctionSamples", "PressureEstimate", "PressureMethod",
-    "WeightedValue", "apply_transfer", "best_ratio_estimate",
+    "AtomicMeasure", "FunctionSamples", "PressureEstimate", "WeightedValue",
+    "apply_transfer", "best_ratio_estimate",
     "conformal_atoms", "default_base_point", "eigenfunction_iterate",
     "periodic_points", "pressure_ratio", "transfer_level_sums",
     "zeta_pressure",

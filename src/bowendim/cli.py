@@ -28,7 +28,7 @@ from .sweep import GridSpec, _orbit_end, continue_periodic, \
 from .transfer import default_base_point, pressure_ratio
 
 TAG_GRAY = {OrbitTag.ATTRACTED_TO_LOG_C: 220, OrbitTag.BAKER_ESCAPE: 160,
-            OrbitTag.ESCAPE_PLUS_INFINITY: 90, OrbitTag.UNRESOLVED: 0}
+            OrbitTag.UNRESOLVED: 0}
 
 _NUM = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 

@@ -115,10 +115,6 @@ class MapParams:
         """A in f(z) = ell*z + A - e^z."""
         return self.c - (self.ell - 1) * self.log_c
 
-    @property
-    def escape_threshold(self) -> float:
-        return max(50.0, 10.0 * self.ell)
-
     def conjugate(self) -> "MapParams":
         return MapParams(self.ell, self.c.conjugate())
 
@@ -163,9 +159,17 @@ def orbit_derivative(params: MapParams, z, n: int) -> complex:
 
 
 class OrbitTag(IntEnum):
+    """Outcome of one orbit: attracted to log(c), escaped into the Baker
+    domain, or left unresolved.
+
+    The values are the raw tag bytes of classify_window and of the PGM
+    lookup, and independent checkers compare those integers.  2 is left
+    unused (it once tagged escape to +infinity, which a float64 orbit
+    cannot reach; see _classify), so UNRESOLVED keeps the value 3.
+    """
+
     ATTRACTED_TO_LOG_C = 0
     BAKER_ESCAPE = 1
-    ESCAPE_PLUS_INFINITY = 2
     UNRESOLVED = 3
 
 
@@ -184,48 +188,50 @@ def _classify(params: MapParams, z, max_iter, radius_eps):
     ones leave the working arrays.  The rules are checked in this order at
     every iterate: a NaN coordinate leaves the orbit unresolved; Re < -2*ell
     (that half plane lies in the invariant Baker domain) is a Baker escape;
-    entering the radius_eps neighbourhood of log(c) is attraction; Re above
-    the escape threshold and growing for ESCAPE_CONFIRM consecutive iterates
-    is escape to +infinity.
+    entering the radius_eps neighbourhood of log(c) is attraction.
+
+    There is no rule for escape to +infinity, because in float64 no orbit
+    can show one.  Such a rule needs a streak of five consecutive growing
+    iterates with Re > max(50, 10*ell).  For ell <= 70 and a finite
+    r = Re z in (max(50, 10*ell), 709.78], |e^z cos(theta)| >= e^50 *
+    6.1e-17 ~ 3.2e5, because |cos(theta)| of a double theta in (-pi, pi] is
+    never below 6.1e-17.  The next real part is then either below 0, which
+    ends the streak, or above 709.78, so the iterate after it overflows.  A
+    streak reaches at most 3 (r, then r' > 709.78, then +inf); after that
+    the value is NaN, or +inf again, which is not greater than +inf.  For
+    ell >= 71 the threshold is above 709.78, so the first counted iterate
+    already overflows and the streak ends after 2.
     """
     tags = np.full(z.shape, int(OrbitTag.UNRESOLVED), dtype=np.int8)
     used = np.full(z.shape, max_iter, dtype=np.int64)
     idx = np.arange(z.size)
-    streak = np.zeros(z.shape, dtype=np.int16)
-    prev_re = np.full(z.shape, -np.inf)
 
     target = canonical(params.log_c)
-    thresh = params.escape_threshold
     baker = -2.0 * params.ell
 
     with np.errstate(all="ignore"):
         for it in range(max_iter + 1):
-            re = z.real
             nan_mask = np.isnan(z)  # stays UNRESOLVED
-            baker_mask = ~nan_mask & (re < baker)
+            baker_mask = ~nan_mask & (z.real < baker)
             att_mask = ~baker_mask & (cylinder_distance(z, target) < radius_eps)
-            open_ = ~(nan_mask | baker_mask | att_mask)
-            streak = np.where(open_ & (re > thresh) & (re > prev_re),
-                              streak + 1, 0)
-            esc_mask = open_ & (streak >= defaults.ESCAPE_CONFIRM)
             tags[idx[baker_mask]] = int(OrbitTag.BAKER_ESCAPE)
             tags[idx[att_mask]] = int(OrbitTag.ATTRACTED_TO_LOG_C)
-            tags[idx[esc_mask]] = int(OrbitTag.ESCAPE_PLUS_INFINITY)
-            live = open_ & ~esc_mask
+            live = ~(nan_mask | baker_mask | att_mask)
             if not live.all():
                 used[idx[~live]] = it
-                idx, z, re, streak = idx[live], z[live], re[live], streak[live]
+                idx, z = idx[live], z[live]
             if it == max_iter or not idx.size:
                 break
-            prev_re = re
             z = evaluate(params, z)
     return tags, used
 
 
 def classify_orbit(params: MapParams, z, max_iter: int = defaults.MAX_ITER,
                    radius_eps: float = defaults.RADIUS_EPS) -> OrbitClass:
-    """Fatou-trichotomy tag of a single orbit, with the number of map steps
-    taken before it was decided (the rules are documented at _classify)."""
+    """Tag of a single orbit (attracted to log(c), Baker escape or
+    unresolved), with the number of map steps taken before it was decided
+    (the rules, and why there is no escape to +infinity, are documented at
+    _classify)."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if radius_eps <= 0:
@@ -261,7 +267,3 @@ class PeriodicPoint:
     period: int
     multiplier: complex
     branch_word: tuple = ()
-
-    @property
-    def is_repelling(self) -> bool:
-        return abs(self.multiplier) > 1.0

@@ -13,7 +13,6 @@ SEED_SPACING          0.35       Newton seed-grid spacing for module-level enume
 M0                    8.0        right edge of the strip-regime seed window
 C_GEO                 2.0        safety constant in the branch-derivative lower bound
 K_MIN_FLOOR           10         smallest branch index with a certified tail bound
-ESCAPE_CONFIRM        5          consecutive growing iterates needed to tag escape
 RADIUS_EPS            0.05       capture radius around the attracting fixed point
 MAX_ITER              200        default orbit iteration budget for classification
 K                     50         default branch truncation half-width
@@ -40,7 +39,6 @@ SEED_SPACING = 0.35
 M0 = 8.0
 C_GEO = 2.0
 K_MIN_FLOOR = 10
-ESCAPE_CONFIRM = 5
 RADIUS_EPS = 0.05
 MAX_ITER = 200
 K = 50

@@ -254,10 +254,6 @@ class SweepGrid:
         arr = np.array([r.t_star for r in self.records])
         return arr.reshape(self.spec.ny, self.spec.nx)
 
-    def uncertainty_array(self):
-        arr = np.array([r.uncertainty for r in self.records])
-        return arr.reshape(self.spec.ny, self.spec.nx)
-
 
 def sweep_dimension(ell: int, grid_spec: GridSpec, accuracy: float,
                     *, threads: int = 1, max_attempts: int = 3,

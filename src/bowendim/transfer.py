@@ -37,7 +37,6 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -72,11 +71,6 @@ class WeightedValue:
         return self.value + self.error
 
 
-class PressureMethod(Enum):
-    RATIO = "ratio"
-    ZETA = "zeta"
-
-
 @dataclass(frozen=True)
 class PressureEstimate:
     """One pressure evaluation with its reported uncertainty."""
@@ -84,7 +78,6 @@ class PressureEstimate:
     t: float
     value: float
     uncertainty: float
-    method: PressureMethod
     n: int
     K: int
     prune: float
@@ -338,9 +331,6 @@ class _Levels:
 
     params: MapParams
     t: float
-    base: complex
-    K: int
-    prune: float
     budget: int
     values: list = field(default_factory=list)        # S_0 .. S_m
     parent_cuts: list = field(default_factory=list)   # mass cut entering level j
@@ -507,7 +497,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
     base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
     k_lo = min(defaults.k_min(params.ell, params.c), K)
 
-    lv = _Levels(params, t, base, K, prune, int(budget))
+    lv = _Levels(params, t, int(budget))
     x = np.array([base], dtype=np.complex128)
     w = np.array([1.0])
     lv.values.append(1.0)
@@ -621,8 +611,7 @@ def _ratio_estimate(S, j, t, K, prune):
     """Pressure estimate from the level-j / level-(j-1) sum ratio."""
     s2, s1, s0 = S[j], S[j - 1], S[j - 2]
     if not all(np.isfinite(sv.value) and sv.value > 0 for sv in (s0, s1, s2)):
-        return PressureEstimate(t, math.nan, math.inf, PressureMethod.RATIO,
-                                j, K, prune)
+        return PressureEstimate(t, math.nan, math.inf, j, K, prune)
     value = math.log(s2.value / s1.value)
     drift = abs(value - math.log(s1.value / s0.value))
     if s2.lo > 0 and s1.lo > 0:
@@ -631,8 +620,7 @@ def _ratio_estimate(S, j, t, K, prune):
         interval = max(hi - value, value - lo)
     else:
         interval = math.inf
-    return PressureEstimate(t, value, interval + drift, PressureMethod.RATIO,
-                            j, K, prune)
+    return PressureEstimate(t, value, interval + drift, j, K, prune)
 
 
 def pressure_ratio(params: MapParams, t: float, z, n: int,
@@ -764,37 +752,31 @@ def zeta_pressure(params: MapParams, t: float, n: int, K: int) -> PressureEstima
         raise TNotSummable(t)
     _, mult = periodic_points(params, n, K)
     if mult.size == 0:
-        return PressureEstimate(t, math.nan, math.inf, PressureMethod.ZETA, n, K, 0.0)
+        return PressureEstimate(t, math.nan, math.inf, n, K, 0.0)
     total = float((np.abs(mult) ** (-t)).sum())
     value = math.log(total) / n
     b_hat = max(1.0, _sup_l1(params, t))
     omitted = n * tail_bound_value(K, t) * b_hat ** (n - 1)
     unc = (math.log(total + omitted) - math.log(total)) / n
-    return PressureEstimate(t, value, unc, PressureMethod.ZETA, n, K, 0.0)
+    return PressureEstimate(t, value, unc, n, K, 0.0)
 
 
 # ------------------------------------------------ eigenfunction & conformal
 
 @dataclass(frozen=True)
 class FunctionSamples:
-    """Sampled nonnegative function values, base-point normalised.
-
-    hat_sup[m] is the sampled sup of the normalised iterate e^(-mP) L^m 1,
-    the quantity whose boundedness backs the omission ledger.
-    """
+    """Sampled nonnegative function values, base-point normalised."""
 
     points: np.ndarray
     values: np.ndarray
     t: float
     rel_changes: tuple = ()
     iterates: np.ndarray = None
-    hat_sup: tuple = ()
 
 
 def eigenfunction_iterate(params: MapParams, t: float, samples, iterations: int,
                           K: int = defaults.K, prune: float = defaults.PRUNE,
-                          *, pressure_value: float,
-                          budget: int = defaults.NODE_BUDGET) -> FunctionSamples:
+                          *, budget: int = defaults.NODE_BUDGET) -> FunctionSamples:
     """Normalised iterates (e^-P L_t)^m 1 at the sample points.
 
     Values are renormalised so the iterate equals 1 at the base point, which
@@ -820,9 +802,7 @@ def eigenfunction_iterate(params: MapParams, t: float, samples, iterations: int,
         num = np.abs(iters[m] - iters[m - 1]).max()
         den = max(np.abs(iters[m]).max(), 1e-300)
         rel.append(float(num / den))
-    hat = tuple(float(math.exp(-m * pressure_value) * raw[m].max())
-                for m in range(iterations + 1))
-    return FunctionSamples(pts, iters[-1], t, tuple(rel), iters, hat)
+    return FunctionSamples(pts, iters[-1], t, tuple(rel), iters)
 
 
 @dataclass(frozen=True)

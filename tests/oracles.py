@@ -156,20 +156,26 @@ def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
     return (is_, ks, xc, a - ex, pair_i[fast][missed], pair_k[fast][missed]), cand
 
 
+ESCAPE_PLUS_INFINITY = 2
+
+
 def classify_orbit_reference(params, z, max_iter, radius_eps=0.05):
     """(tag, iterations_used) of one orbit, by a plain scalar loop.
 
     Attracted once the orbit enters the radius_eps neighbourhood of log(c);
-    Baker escape once Re < -2*ell; escape to +infinity once Re exceeds the
-    escape threshold and keeps growing for ESCAPE_CONFIRM iterates;
-    unresolved on a NaN coordinate or when max_iter runs out.
+    Baker escape once Re < -2*ell; escape to +infinity (the raw tag
+    ESCAPE_PLUS_INFINITY) once Re exceeds max(50, 10*ell) and keeps growing
+    for 5 iterates; unresolved on a NaN coordinate or when max_iter runs
+    out.  The fourth rule has no
+    counterpart in the library (see cylinder._classify); it stays here so
+    that tests can check that it never fires.
     """
     import math
 
-    from bowendim import OrbitTag, canonical, cylinder_distance, defaults, evaluate
+    from bowendim import OrbitTag, canonical, cylinder_distance, evaluate
 
     target = canonical(params.log_c)
-    thresh = params.escape_threshold
+    thresh = max(50.0, 10.0 * params.ell)
     baker = -2.0 * params.ell
     w = canonical(complex(z))
     streak = 0
@@ -185,8 +191,8 @@ def classify_orbit_reference(params, z, max_iter, radius_eps=0.05):
             return OrbitTag.ATTRACTED_TO_LOG_C, it
         if re > thresh and re > prev_re:
             streak += 1
-            if streak >= defaults.ESCAPE_CONFIRM:
-                return OrbitTag.ESCAPE_PLUS_INFINITY, it
+            if streak >= 5:
+                return ESCAPE_PLUS_INFINITY, it
         else:
             streak = 0
         prev_re = re

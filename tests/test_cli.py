@@ -248,12 +248,14 @@ def test_config_keys_still_accepted_by_dim(tmp_path, monkeypatch):
     assert dims[-1][1]["budget"] == 9000
 
 
-def test_output_matches_golden_files(tmp_path):
+def test_output_matches_golden_files(tmp_path, capsys):
     """Fresh CLI output equals the files in tests/golden byte for byte.
 
-    The files pin the output bytes across changes meant to keep behaviour;
-    a change that is meant to move the numbers regenerates them with the
-    commands below and records the shift.
+    The files pin the output bytes across changes meant to keep behaviour,
+    and stdout.txt pins the summaries the commands print, in the order
+    below, with each output path written as <out>.  A change that is meant
+    to move the numbers regenerates them with the commands below and
+    records the shift.
     """
     runs = {
         "preimages.csv": ["preimages", "--ell", "2", "--c", "2+0i",
@@ -272,11 +274,16 @@ def test_output_matches_golden_files(tmp_path):
         "dim.json": ["dim", "--ell", "2", "--c", "2+0i", "--accuracy", "5e-2",
                      "--budget", "50000"],
     }
-    assert sorted(runs) == sorted(p.name for p in GOLDEN.iterdir())
+    assert sorted([*runs, "stdout.txt"]) == \
+        sorted(p.name for p in GOLDEN.iterdir())
     differ = []
+    printed = []
     for name, argv in runs.items():
         out = tmp_path / name
         assert main(argv + ["--out", str(out)]) == 0
+        printed.append(capsys.readouterr().out.replace(str(out), "<out>"))
         if out.read_bytes() != (GOLDEN / name).read_bytes():
             differ.append(name)
+    if "".join(printed) != (GOLDEN / "stdout.txt").read_text(encoding="utf-8"):
+        differ.append("stdout.txt")
     assert differ == []

@@ -10,7 +10,8 @@ from bowendim import (CylinderPoint, MapParams, OrbitTag, canonical,
                       param_derivative)
 from bowendim.cylinder import _classify
 from conftest import random_disk_params
-from oracles import classify_orbit_reference, fixed_point_oracle
+from oracles import (ESCAPE_PLUS_INFINITY, classify_orbit_reference,
+                     fixed_point_oracle)
 
 TWO_PI = 2 * math.pi
 
@@ -142,9 +143,10 @@ def test_classify_window_matches_scalar(params22, base22):
         assert tag == int(oc.tag)
     # decided after >= 1 step: attracted, Baker escape (via Re ~ 44 and
     # 5.6e17), NaN once the Re > 50 streak reached 2; the repelling base
-    # point stays unresolved until max_iter; a NaN start.  Escape to
-    # +infinity needs five growing iterates above Re = 50, which overflow
-    # to infinity first, so no start reaches it.
+    # point stays unresolved until max_iter; a NaN start.  The reference's
+    # escape to +infinity needs five growing iterates above Re = 50, which
+    # overflow to infinity first, so no start reaches it (extreme starts are
+    # checked in test_no_orbit_escapes_to_plus_infinity).
     decided = {0.5 + 0.5j: (OrbitTag.ATTRACTED_TO_LOG_C, 3),
                3.69 - 2.634j: (OrbitTag.BAKER_ESCAPE, 3),
                51 + 3j: (OrbitTag.UNRESOLVED, 3),
@@ -154,6 +156,26 @@ def test_classify_window_matches_scalar(params22, base22):
         assert classify_orbit_reference(params22, z, 10) == want
         oc = classify_orbit(params22, z, max_iter=10)
         assert (oc.tag, oc.iterations_used) == want
+
+
+def test_no_orbit_escapes_to_plus_infinity():
+    # starts at and far beyond the reference's escape threshold
+    # max(50, 10*ell), below and above the overflow edge Re = 709.78; Im at
+    # the doubles nearest +-pi/2 makes |cos(Im)| as small as a double
+    # allows.  ell = 70 and 71 sit on either side of a threshold at 709.78.
+    res = (50.5, 100.0, 700.0, 709.7, 709.79, 1e300, math.inf)
+    ims = (0.0, math.pi / 2, -math.pi / 2, math.pi, -3.0)
+    for ell in (2, 3, 70, 71, 1000):
+        p = MapParams(ell, ell + 0.5)
+        for re in res:
+            for im in ims:
+                want = classify_orbit_reference(p, complex(re, im), 20)
+                assert want[0] != ESCAPE_PLUS_INFINITY
+                oc = classify_orbit(p, complex(re, im), max_iter=20)
+                assert (oc.tag, oc.iterations_used) == want
+    # a window reaching Re = 60, past the threshold 50 at ell = 2
+    tags = classify_window(MapParams(2, 1.1), -6, 60, 132, 24)
+    assert not (tags == ESCAPE_PLUS_INFINITY).any()
 
 
 def test_compacting_kernel_matches_reference_near_boundary(rng):

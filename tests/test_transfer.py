@@ -178,7 +178,7 @@ def test_pressure_bracketing_ratio_vs_zeta(params22, base, pr_table):
 def test_eigenfunction_one_step_identity(params22, base):
     s = 1.0 + 0.8j
     fs = eigenfunction_iterate(params22, 1.5, [s], 1, K=48, prune=0.0,
-                               pressure_value=-0.04, budget=200_000)
+                               budget=200_000)
     num = apply_transfer(params22, 1.5, lambda z: 1.0, s, K=48).value
     den = apply_transfer(params22, 1.5, lambda z: 1.0, base, K=48).value
     assert fs.values[0] == pytest.approx(num / den, rel=1e-9)
@@ -187,7 +187,7 @@ def test_eigenfunction_one_step_identity(params22, base):
 def test_eigenfunction_decay_and_stabilisation(params22):
     samples = [2 + 0.5j, 15 + 0.5j]
     fs = eigenfunction_iterate(params22, 1.5, samples, 5, K=48, prune=1e-12,
-                               pressure_value=-0.04, budget=400_000)
+                               budget=400_000)
     assert fs.values[1] < fs.values[0]          # decay toward Re -> +inf
     assert all(v >= 0 for v in fs.values)
     assert fs.rel_changes[4] < 0.10             # m=4 -> m=5 below 10%
@@ -197,7 +197,7 @@ def test_eigenfunction_decay_and_stabilisation(params22):
 def test_eigenfunction_residual_decreases(params22, base):
     samples = [complex(base) + d for d in (0.0, 0.3, -0.2 + 0.4j, 0.1 - 0.5j)]
     fs = eigenfunction_iterate(params22, 1.5, samples, 5, K=48, prune=1e-12,
-                               pressure_value=-0.04, budget=400_000)
+                               budget=400_000)
     it = fs.iterates
     # residual of the normalised fixed-point relation across iterations
     res = [np.max(np.abs(it[m + 1] - it[m])) for m in range(1, 5)]
@@ -621,7 +621,7 @@ def test_grow_over_several_chunks(params22, base, monkeypatch):
 
 
 def test_shadow_cycles_empty_leaf(params22):
-    lv = _Levels(params22, 1.5, 0j, 10, 0.0, 100)
+    lv = _Levels(params22, 1.5, 100)
     empty = LevelNodes(np.empty(0, complex), np.empty(0, np.int64),
                        np.empty(0, np.int64), np.empty(0), np.empty(0))
     lv.nodes = [None, None, empty]
