@@ -92,7 +92,8 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     The point estimate interpolates the pressure linearly across the final
     bracket (smooth in the parameter c, unlike the raw midpoint) and always
     lies strictly inside it.  Every tree of the solve draws its branch
-    solves from one ChildTable, so each node's children are solved once.
+    solves from one ChildTable, so each node's children are solved once, or
+    again only for a wider truncation.
     """
     if accuracy <= 0:
         raise ValueError("accuracy must be positive")
@@ -180,9 +181,10 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         "prune": float(est_hi.prune),
     }
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("bowen_dimension %s: %d of %d pairs solved; children table "
-                  "holds %d targets, %d roots; sup probe solved %d probes in "
-                  "full", params, children.pairs_solved,
-                  children.pairs_requested, len(children.entries),
+        log.debug("bowen_dimension %s: %d of %d pairs solved, %d requests "
+                  "served from a wider solve; children table holds %d "
+                  "targets, %d roots; sup probe solved %d probes in full",
+                  params, children.pairs_solved, children.pairs_requested,
+                  children.served_wider, len(children.entries),
                   children.roots, _sup_l1_probe(params).full.sum())
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

@@ -77,18 +77,21 @@ def _newton_batch(a, B, x0, iters):
         if idx.size == 0:
             break
         e = np.exp(xa)
-        g = a * xa - e - Ba
-        gp = a - e
-        bad = np.abs(gp) < 1e-290
-        if bad.any():
-            gp = np.where(bad, 1e-290, gp)
-        step = g / gp
+        g = a * xa
+        g -= e
+        g -= Ba
+        gp = np.subtract(a, e, out=e)
+        # |gp| < 1e-290 only where |Re gp| < 1e-290 as well
+        tiny = np.flatnonzero(np.abs(gp.real) < 1e-290)
+        if tiny.size:
+            gp[tiny[np.abs(gp[tiny]) < 1e-290]] = 1e-290
+        step = np.divide(g, gp, out=g)
         mag = np.abs(step)
         big = mag > 1.5
         if big.any():
-            step = np.where(big, step * (1.5 / np.where(mag == 0, 1, mag)), step)
-        xa = xa - step
-        out = (xa.real < _RE_LO) | (xa.real > _RE_HI) | ~np.isfinite(xa)
+            step[big] *= 1.5 / mag[big]
+        xa -= step
+        out = ~((xa.real >= _RE_LO) & (xa.real <= _RE_HI) & np.isfinite(xa.imag))
         done = (mag < _STEP_TOL) & ~out
         if out.any():
             xa[out] = np.nan

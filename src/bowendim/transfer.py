@@ -20,9 +20,11 @@ their branches |k| <= 32 are solved once per parameter; per t, closed-form
 bounds on the branches beyond 32 leave only a few probes that may hold the
 maximum, and only those are solved to 256 (once per parameter as well).
 
-Every branch solve goes through a ChildTable, which keeps each solved
-target's roots and |F'| for the next call that reaches the same target with
-the same truncation; a table belongs to one parameter and one tolerance.
+Every branch solve goes through a ChildTable, which keeps one entry per
+solved target, its roots and |F'| from the widest solve so far, and serves
+every later call for that target whose truncation lies between the target's
+k_secondary and that width; a table belongs to one parameter and one
+tolerance.
 bowen_dimension hands one table down to all of its trees, so the trees grown
 for different t share their nodes' branch equations; any other tree gets a
 table of its own, which still solves the base point's fixed-point preimage,
@@ -258,15 +260,25 @@ class ChildTable:
     the same branch equations; only the weights |F'|^-t change.  One
     target's solve output (its roots in (real, imag) order and its missed k
     in ascending order) depends on the target's bits and kmax alone, whatever
-    else its call solves, so the table maps that key to what its readers
-    need of it: the lift index, the root, |F'| and the missed k, as one
-    target's slice of its solve's compact columns.  Lift indices are int16,
-    which _grow guards by bounding K.  The target is keyed by its raw bits,
-    as +0.0 and -0.0 lie on opposite sides of Log's branch cut.  A solve
-    stores nothing once the table holds `limit` roots (the node budget of
-    the tree being grown), so the table exceeds it by at most one chunk's
-    roots; lookups go on, and the output bits do not depend on what is
-    cached.
+    else its call solves, so the table keeps one entry per target: what its
+    readers need of the widest solve so far, as one target's slice of that
+    solve's compact columns (the lift index, the root, |F'| and the missed
+    k).  Lift indices are int16, which _grow guards by bounding K.  The
+    target is keyed by its raw bits, as +0.0 and -0.0 lie on opposite sides
+    of Log's branch cut.
+
+    An entry solved to kmax serves every request for kmax' with
+    k_secondary(target) <= kmax' <= kmax: its roots and misses with
+    |k| <= kmax' are the solve at kmax' bit for bit.  The pairs beyond
+    kmax' all lie beyond k_secondary and run only the asymptotic seed of
+    their own lift, whose Newton iterate stays clear of the strip's edges
+    (near Im x = -+pi/2 for large |k|), so no root of theirs re-indexes into
+    |k| <= kmax'.  A narrower kmax' (a target far to the left, with a large
+    k_secondary of its own) is solved as asked, and a wider one is solved
+    and replaces the entry.  A solve stores nothing once the table holds
+    `limit` roots (the node budget of the tree being grown), so the table
+    exceeds it by at most one chunk's roots; lookups go on, and the output
+    bits do not depend on what is cached.
     """
 
     def __init__(self, params, tol):
@@ -275,23 +287,36 @@ class ChildTable:
         self.roots = 0
         self.pairs_requested = 0
         self.pairs_solved = 0
+        self.served_wider = 0  # requests served from a wider entry
 
     def solve(self, targets, kmax, limit):
         """preimage_arrays(params, targets, kmax, tol=tol), with k as int16
-        and |F'| in place of F', solving only the targets the table does not
-        hold.  The k, x and |F'| arrays may be read-only views."""
+        and |F'| in place of F', solving only the targets the table cannot
+        serve.  The k, x and |F'| arrays may be read-only views."""
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
-        keys = [(re, im, km) for (re, im), km in zip(bits.tolist(), kmax.tolist())]
+        keys = list(map(tuple, bits.tolist()))
+        kms = kmax.tolist()
         rows = [self.entries.get(key) for key in keys]
-        todo = [j for j, row in enumerate(rows) if row is None]
+        todo, wider = [], 0
+        for j, (row, km) in enumerate(zip(rows, kms)):
+            if row is not None and km != row[5]:
+                if row[6] <= km < row[5]:
+                    wider += 1
+                else:
+                    row = rows[j] = None
+            if row is None:
+                todo.append(j)
         self.pairs_requested += int((2 * kmax + 1).sum())
+        self.served_wider += wider
         if todo:
             sub = np.array(todo)
             self.pairs_solved += int((2 * kmax[sub] + 1).sum())
             si, sk, sx, sd, smi, smk = preimage_arrays(
                 self.params, targets[sub], kmax[sub], tol=self.tol)
+            k_sec = k_secondary(self.params.ell,
+                                np.abs(targets[sub] - self.params.affine_term))
             # what the readers need, compact and read-only; a row is one
-            # target's slice of it
+            # target's slice of it, (cols, lo, hi, mlo, mhi, kmax, k_sec)
             cols = (sk.astype(np.int16), sx, np.abs(sd), smk.astype(np.int16))
             for col in cols:
                 col.flags.writeable = False
@@ -299,15 +324,18 @@ class ChildTable:
             mcut = np.searchsorted(smi, np.arange(sub.size + 1)).tolist()
             del si, sk, sd, smi, smk
             store = self.roots < limit
-            for r, j in enumerate(todo):
-                rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1])
-                if store and keys[j] not in self.entries:
+            for r, (j, ks) in enumerate(zip(todo, k_sec.tolist())):
+                rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1],
+                           kms[j], ks)
+                old = self.entries.get(keys[j])
+                if store and (old is None or old[5] < kms[j]):
                     self.entries[keys[j]] = rows[j]
-                    self.roots += cut[r + 1] - cut[r]
+                    self.roots += cut[r + 1] - cut[r] \
+                        - (0 if old is None else old[2] - old[1])
         # consecutive rows of one solve are read as one slice, and a chunk
         # read as one slice is not copied
         runs = []
-        for cols, lo, hi, mlo, mhi in rows:
+        for cols, lo, hi, mlo, mhi, _, _ in rows:
             if runs and runs[-1][0] is cols and runs[-1][2] == lo \
                     and runs[-1][4] == mlo:
                 runs[-1][2], runs[-1][4] = hi, mhi
@@ -319,10 +347,17 @@ class ChildTable:
             return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
         index = np.arange(len(rows))
-        return (np.repeat(index, [hi - lo for _, lo, hi, _, _ in rows]),
-                column(0, 1, 2), column(1, 1, 2), column(2, 1, 2),
-                np.repeat(index, [mhi - mlo for _, _, _, mlo, mhi in rows]),
-                column(3, 3, 4).astype(np.int64))
+        out = [np.repeat(index, [row[2] - row[1] for row in rows]),
+               column(0, 1, 2), column(1, 1, 2), column(2, 1, 2),
+               np.repeat(index, [row[4] - row[3] for row in rows]),
+               column(3, 3, 4).astype(np.int64)]
+        if wider:
+            # the branches of a wider entry beyond the requested kmax
+            keep = np.abs(out[1]) <= kmax[out[0]]
+            out[:4] = [col[keep] for col in out[:4]]
+            keep = np.abs(out[5]) <= kmax[out[4]]
+            out[4:] = [col[keep] for col in out[4:]]
+        return tuple(out)
 
 
 @dataclass
@@ -381,13 +416,25 @@ class LevelNodes:
 
 
 def _pair_count(w, t, K, k_lo, p):
-    """(pairs, km): the pairs that threshold p expands, counted exactly, and
-    every node's unclipped kmax (C/2pi)(w/p)^(1/t)."""
-    km = defaults.C_GEO / TWO_PI * (w / p) ** (1.0 / t)
+    """(pairs, cand, km): the pairs that threshold p expands, counted
+    exactly; the nodes that may be kept, in level order; and their unclipped
+    kmax (C/2pi)(w/p)^(1/t).
+
+    A node with kmax >= k_lo has w >= p (k_lo / c)^t to a few ulps, so only
+    the nodes that pass that cut, lowered by a relative 1e-9 in kmax, are
+    raised to the power; every other node is dropped and clips to k_lo.  The
+    kept nodes come in level order, so their pairwise sum is the whole
+    level's."""
+    c = defaults.C_GEO / TWO_PI
+    with np.errstate(over="ignore"):
+        cut = p * np.float64(k_lo * (1.0 - 1e-9) / c) ** t
+    # a cut that is not a finite float cuts nothing
+    cand = np.flatnonzero(w >= cut) if cut < math.inf else np.arange(w.size)
+    km = c * (w[cand] / p) ** (1.0 / t)
     keep = km >= k_lo
     if not keep.any():
-        return 0, km
-    return float((2 * np.minimum(km[keep], K) + 1).sum()), km
+        return 0, cand, km
+    return float((2 * np.minimum(km[keep], K) + 1).sum()), cand, km
 
 
 # Bounds on _pair_count(p) from u = w^(1/t), sorted, with eps = 2^-52.  A
@@ -435,18 +482,29 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
 
     A node of weight w gets kmax = clip((C/2pi)(w/p)^(1/t), k_lo, K) branches
     and is dropped entirely when the unclipped value falls below k_lo.  The
-    threshold is the end of 60 geometric bisection steps; a step is decided
-    from _pair_bounds where they leave no doubt, and by the exact count
-    only where they straddle cap, so the result is the exact bisection's bit
-    for bit.
+    threshold is p_floor if that fits, else the end of 60 geometric
+    bisection steps; each test, p_floor's included, is decided from
+    _pair_bounds where they leave no doubt, and by the exact count only
+    where they straddle cap, so the result is the exact bisection's bit for
+    bit.
     """
-    c = defaults.C_GEO / TWO_PI
-    count, km = _pair_count(w, t, K, k_lo, p_floor)
-    if count <= cap:
-        p = p_floor
-    else:
-        km = None  # from the exact count at hi, if hi had one
-        bounds = _pair_bounds(w, t, K, k_lo)
+    bounds = _pair_bounds(w, t, K, k_lo)
+
+    def over(p):
+        """(pairs(p) > cap, the exact count's (cand, km) if one was made)"""
+        least, most = bounds(p)
+        if least > cap:
+            return True, None
+        if most <= cap:
+            return False, None
+        count, cand, km = _pair_count(w, t, K, k_lo, p)
+        return count > cap, (cand, km)
+
+    p = p_floor
+    floor_over, counted = over(p_floor)
+    if floor_over:
+        counted = None  # from the exact count at hi, if hi had one
+        c = defaults.C_GEO / TWO_PI
         lo, hi = p_floor, float(w.max()) * (k_lo / c) ** (-t) * 2.0
         hi_decided = False
         for _ in range(60):
@@ -455,24 +513,18 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
             # changes nothing, and neither does any step after it
             if mid == lo or (mid == hi and hi_decided):
                 break
-            least, most = bounds(mid)
-            km_mid = None
-            if least > cap:
-                over = True
-            elif most <= cap:
-                over = False
-            else:
-                count, km_mid = _pair_count(w, t, K, k_lo, mid)
-                over = count > cap
-            if over:
+            mid_over, at_mid = over(mid)
+            if mid_over:
                 lo = mid
             else:
-                hi, km, hi_decided = mid, km_mid, True
+                hi, counted, hi_decided = mid, at_mid, True
         p = hi
-        if km is None:
-            km = _pair_count(w, t, K, k_lo, p)[1]
-    keep = km >= k_lo
-    kmax = np.minimum(np.maximum(km, k_lo), K).astype(np.int64)
+    cand, km = counted if counted is not None \
+        else _pair_count(w, t, K, k_lo, p)[1:]
+    keep = np.zeros(w.size, dtype=bool)
+    keep[cand] = km >= k_lo
+    kmax = np.full(w.size, min(k_lo, K), dtype=np.int64)
+    kmax[cand] = np.minimum(np.maximum(km, k_lo), K).astype(np.int64)
     return p, keep, kmax
 
 

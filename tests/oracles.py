@@ -242,3 +242,55 @@ def choose_threshold_reference(w, t, K, k_lo, p_floor, cap, steps=None):
     keep = km_raw >= k_lo
     kmax = np.minimum(np.maximum(km_raw, k_lo), K).astype(np.int64)
     return p, keep, kmax
+
+
+def newton_batch_reference(a, B, x0, iters):
+    """preimages._newton_batch before its in-place rewrite, verbatim: the
+    kernel must match it bit for bit.
+
+    Vectorised Newton on g(x) = a*x - e^x - B.
+
+    Runs until every entry either converged (last step below _STEP_TOL) or
+    the iteration cap is hit.  Divergent entries become NaN.  Plain Newton
+    also handles double roots (linear convergence, rate 1/2), which is why
+    _FAST_ITERS and _ROBUST_ITERS are generous.
+    """
+    from bowendim.preimages import _RE_HI, _RE_LO, _STEP_TOL
+
+    x = np.array(x0, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    active = np.isfinite(x)
+    x[~active] = np.nan
+    idx = np.flatnonzero(active)
+    xa = x[idx]
+    Ba = B[idx] if B.shape == x.shape else np.broadcast_to(B, x.shape)[idx]
+    for _ in range(iters):
+        if idx.size == 0:
+            break
+        e = np.exp(xa)
+        g = a * xa - e - Ba
+        gp = a - e
+        bad = np.abs(gp) < 1e-290
+        if bad.any():
+            gp = np.where(bad, 1e-290, gp)
+        step = g / gp
+        mag = np.abs(step)
+        big = mag > 1.5
+        if big.any():
+            step = np.where(big, step * (1.5 / np.where(mag == 0, 1, mag)), step)
+        xa = xa - step
+        out = (xa.real < _RE_LO) | (xa.real > _RE_HI) | ~np.isfinite(xa)
+        done = (mag < _STEP_TOL) & ~out
+        if out.any():
+            xa[out] = np.nan
+        finished = done | out
+        if finished.any():
+            x[idx[finished]] = xa[finished]
+            keep = ~finished
+            idx, xa, Ba = idx[keep], xa[keep], Ba[keep]
+    if idx.size:
+        # iteration cap: keep the last iterate; residual validation decides.
+        # Near a double root Newton random-walks at the sqrt(eps) scale and
+        # the step criterion is unreachable, yet |g| certifies the root.
+        x[idx] = xa
+    return x

@@ -273,6 +273,10 @@ def test_output_matches_golden_files(tmp_path, capsys):
                                     "--steps", "5"],
         "dim.json": ["dim", "--ell", "2", "--c", "2+0i", "--accuracy", "5e-2",
                      "--budget", "50000"],
+        "sweep.csv": ["sweep", "--ell", "2", "--c", "2+0i", "--nx", "3",
+                      "--ny", "3", "--half-re", "0.25", "--half-im", "0.25",
+                      "--accuracy", "0.2", "--budget", "50000",
+                      "--threads", "1"],
     }
     assert sorted([*runs, "stdout.txt"]) == \
         sorted(p.name for p in GOLDEN.iterdir())

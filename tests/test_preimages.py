@@ -17,11 +17,80 @@ from bowendim import (MapParams, canonical, cylinder_distance, defaults,
 from bowendim.errors import BranchMiss, InvalidTol, TNotSummable
 from bowendim.dimension import bowen_dimension
 from bowendim.preimages import _dedupe_sorted, _one_k_per_cell
-from oracles import preimage_arrays_reference, preimage_oracle
+from oracles import (newton_batch_reference, preimage_arrays_reference,
+                     preimage_oracle)
 
 TWO_PI = 2 * math.pi
 # the package exports the function preimages under the module's name
 preimages_mod = importlib.import_module("bowendim.preimages")
+
+
+def _newton_batches():
+    """Seeded Newton batches (a, B, x0), each named for the exits it takes."""
+    rng = np.random.default_rng(20261019)
+    batches = {}
+    for a in (2, 3, 4):
+        k = rng.integers(-3000, 3001, 400)
+        B = rng.uniform(-6, 6, k.size) + 1j * (rng.uniform(-4, 4, k.size)
+                                              + TWO_PI * k)
+        with np.errstate(all="ignore"):
+            batches[f"asymptotic seeds, a={a}"] = (
+                a, B, preimages_mod._log_seed(a, B))
+            small = B[np.abs(k) <= 6]
+            batches[f"robust seeds, a={a}"] = (
+                a, np.tile(small, 9),
+                preimages_mod._robust_seed_block(a, small).ravel())
+    # one step leaves the band: e^x vanishes far left and dominates far
+    # right, and the step is clipped to 1.5
+    x0 = np.concatenate([rng.uniform(-199.9, -198.6, 50) + 1j * rng.uniform(-3, 3, 50),
+                         rng.uniform(58.8, 59.9, 50) + 1j * rng.uniform(-0.3, 0.3, 50)])
+    B = np.where(x0.real < 0, -1e3, -1e30) + 0j
+    batches["leaving the band"] = (2, B, x0)
+    bad = np.array([np.nan, complex(np.nan, 1.0), complex(1.0, np.inf),
+                    complex(-np.inf, 0.0), complex(np.inf, np.nan), 0.5 + 0.5j])
+    batches["non-finite seeds"] = (3, np.full(bad.size, 1.0 + 2.0j), bad)
+    # the fold: at x0 = log a, a - e^x0 is exactly 0 for these a, and so is
+    # g with B = a log a - a; a step of 1e-9 in Im x0 leaves Re(a - e^x0)
+    # at 0 but not a - e^x0
+    for a in (2, 4, 6):
+        crit = math.log(a)
+        assert a - np.exp(complex(crit, 0.0)) == 0
+        assert (a - np.exp(complex(crit, 1e-9))).real == 0
+        batches[f"fold, a={a}"] = (
+            a, np.array([a * crit - a, a * crit - a + 1e-9j, 1.0 + 0.0j,
+                         1.0 + 0.0j]) + 0j,
+            np.array([crit, crit, crit, crit + 1e-9j]) + 0j)
+    batches["one B for every seed"] = (2, np.complex128(0.5 + 3.0j),
+                                       rng.uniform(-4, 4, 64) + 1j * rng.uniform(-3, 3, 64))
+    return batches
+
+
+_NEWTON = _newton_batches()
+
+
+@pytest.mark.parametrize("iters", [1, 3, 12, 40])
+@pytest.mark.parametrize("name", sorted(_NEWTON))
+def test_newton_batch_matches_frozen_copy(name, iters):
+    # the in-place kernel gives the plain one's bits, at the iteration cap
+    # (1 and 3 stop most entries early) and after every other exit
+    a, B, x0 = _NEWTON[name]
+    with np.errstate(all="ignore"):
+        got = preimages_mod._newton_batch(a, B, x0, iters)
+        ref = newton_batch_reference(a, B, x0, iters)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_newton_batch_exits():
+    # the batches above reach each exit of the kernel
+    with np.errstate(all="ignore"):
+        band = preimages_mod._newton_batch(*_NEWTON["leaving the band"], 1)
+        fold = preimages_mod._newton_batch(*_NEWTON["fold, a=2"], 40)
+        fast = _NEWTON["asymptotic seeds, a=2"]
+        x = preimages_mod._newton_batch(*fast, 12)
+    assert np.isnan(band).all()
+    assert fold[0] == math.log(2)  # g = 0 with gp = 0: a zero step
+    resid = np.abs(2 * x - np.exp(x) - fast[1])
+    assert np.median(resid) < 1e-9 * np.median(np.abs(fast[1]))
 
 
 def test_fixed_point_is_own_preimage(params22):

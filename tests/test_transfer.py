@@ -1,6 +1,8 @@
 import cmath
 import importlib
+import logging
 import math
+import re
 import threading
 
 import numpy as np
@@ -481,8 +483,9 @@ def _same_bits(got, ref):
 
 
 def test_child_table_key(solved_pairs):
-    # a target is solved again when kmax or its bits change, and not when
-    # its co-targets do
+    # a target is solved again when its bits change or kmax grows, and not
+    # when its co-targets do or kmax shrinks, down to its k_secondary (see
+    # test_narrow_requests_served_from_a_wide_entry)
     p = MapParams(2, 2.0)
     table = ChildTable(p, 1e-11)
     z = 0.3 + 1.1j
@@ -497,6 +500,76 @@ def test_child_table_key(solved_pairs):
         _same_bits(_table_solve(table, targets, kmax),
                    _tableless(p, targets, kmax))
         assert solved_pairs[-1] == pairs
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4])
+def test_narrow_requests_served_from_a_wide_entry(ell, solved_pairs):
+    # a target solved to kmax serves any kmax' in [k_secondary, kmax] with
+    # the bits of a solve at kmax'; seeded targets over the strip, at
+    # parameters across D(ell, 0.95), with +-0.0 on the real axis
+    rng = np.random.default_rng([20261019, ell])
+    for _ in range(2):
+        c = ell + 0.95 * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+        p = MapParams(ell, c)
+        z = rng.uniform(-2 * ell, 6, 40) + 1j * rng.uniform(-math.pi, math.pi, 40)
+        axis = rng.uniform(-2 * ell, 6, 4)
+        targets = np.concatenate([z, axis + 0.0j, [complex(r, -0.0) for r in axis]])
+        wide = rng.integers(30, 120, targets.size)
+        k_sec = k_secondary(ell, np.abs(targets - p.affine_term))
+        assert (k_sec < 30).all()
+        # the edges of the range, and the lifts a re-indexed root would
+        # come from (k -> k - a m)
+        narrow = np.stack([k_sec, k_sec + 1, wide - 1, wide - ell,
+                           rng.integers(k_sec, wide + 1)])
+        table = ChildTable(p, 1e-11)
+        solved_pairs.append(0)
+        _table_solve(table, targets, wide)
+        for km in narrow:
+            solved_pairs.append(0)
+            served = table.served_wider
+            _same_bits(_table_solve(table, targets, km),
+                       _tableless(p, targets, km))
+            assert solved_pairs[-1] == 0
+            assert table.served_wider - served == int((km < wide).sum())
+        assert len(table.entries) == targets.size
+
+
+def test_table_solves_below_k_secondary_and_beyond_its_entry(solved_pairs):
+    p = MapParams(2, 2.0)
+    table = ChildTable(p, 1e-11)
+    far = -40.0 + 0.5j  # k_secondary 11, beyond the narrow kmax
+    on_axis, neg_zero = 2.0 + 0.0j, complex(2.0, -0.0)
+    assert k_secondary(2, abs(far - p.affine_term)) == 11
+    calls = [([far, on_axis], [40, 40], 162, 0),
+             ([far, on_axis], [8, 8], 17, 1),     # far solved, on_axis served
+             ([neg_zero], [8], 17, 0),            # -0.0 has an entry of its own
+             ([on_axis], [60], 121, 0),           # wider: solved, replaces
+             ([on_axis, far], [50, 12], 0, 2)]    # both served
+    for targets, kmax, pairs, served in calls:
+        solved_pairs.append(0)
+        before = table.served_wider
+        _same_bits(_table_solve(table, targets, kmax),
+                   _tableless(p, targets, kmax))
+        assert (solved_pairs[-1], table.served_wider - before) == (pairs, served)
+    assert sorted(e[5] for e in table.entries.values()) == [8, 40, 60]
+    assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
+
+
+def test_misses_served_from_a_wide_entry(params22, base, solved_pairs):
+    # the base point's K = 4096 solve misses lifts from |k| ~ 1,800 on; a
+    # narrower request gets the misses of its own range
+    table = ChildTable(params22, defaults.TOL)
+    solved_pairs.append(0)
+    _table_solve(table, [base], [4096])
+    misses = []
+    for km in (3000, 2000, 1700):
+        solved_pairs.append(0)
+        got = _table_solve(table, [base], [km])
+        _same_bits(got, _tableless(params22, [base], [km]))
+        assert solved_pairs[-1] == 0
+        misses.append(got[4].size)
+    assert misses[0] > misses[1] > 0
+    assert table.served_wider == 3
 
 
 def test_child_table_bound_stops_inserts(solved_pairs):
@@ -518,9 +591,15 @@ def test_child_table_bound_stops_inserts(solved_pairs):
         assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
 
 
-def test_bowen_dimension_same_without_table(monkeypatch):
+def test_bowen_dimension_same_without_table(monkeypatch, caplog):
     p = MapParams(2, 2.0)
-    rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
+    with caplog.at_level(logging.DEBUG, logger="bowendim.dimension"):
+        rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
+    # the debug line counts the requests served from a wider solve
+    (line,) = [r.getMessage() for r in caplog.records
+               if r.getMessage().startswith("bowen_dimension")]
+    served = re.search(r"pairs solved, (\d+) requests served from a wider", line)
+    assert served and int(served.group(1)) > 0
     grow = transfer_mod._grow
 
     def grow_without_table(params, *args, children=None, **kwargs):
@@ -533,7 +612,9 @@ def test_bowen_dimension_same_without_table(monkeypatch):
 
 def test_tree_solves_a_repeated_target_once(solved_pairs):
     # the base point is a repelling fixed point: its fixed-point preimage is
-    # found again, with the same bits, as a child of itself at every level
+    # found again, with the same bits, as a child of itself at every level;
+    # a target asked for again at a narrower kmax is served from its wider
+    # solve
     p = MapParams(3, 3.2 - 0.3j)
     base = default_base_point(p)
     solved_pairs.append(0)  # the sup probe's solves, not the tree's
@@ -543,7 +624,7 @@ def test_tree_solves_a_repeated_target_once(solved_pairs):
     solved_pairs.append(0)
     ref = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000,
                               children=_Tableless(p))
-    assert solved_pairs[1:] == [88_520, 91_595]
+    assert solved_pairs[1:] == [82_208, 91_595]
     assert repr(got) == repr(ref)
 
 
@@ -665,6 +746,15 @@ def test_threshold_matches_reference_in_a_bowen_solve(monkeypatch):
     assert all(exact < steps / 2 for steps, exact in bisecting)
 
 
+def _ulps_around(v, n):
+    """v and the n nearest floats on either side of it."""
+    out, lo, hi = [v], v, v
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
 def _threshold_levels():
     """Seeded levels (w, t, K, k_lo, p_floor, cap), edge cases included."""
     rng = np.random.default_rng(20261019)
@@ -702,6 +792,28 @@ def _threshold_levels():
         dropped = pair_count_reference(w, t, K, k_lo, flip * (1 + 1e-9))
         levels[f"cap split by the node of rank {r}"] = (
             w, t, K, k_lo, p_floor, dropped + k_lo)
+    # nodes a few ulps either side of the keep cut p (k_lo/c)^t, and of the
+    # cut lowered by 1e-9 that spares the nodes below it the power: at
+    # p_floor, where the level fits, and at the threshold that bisection
+    # reaches without them (it ends a few ulps higher with them)
+    for te in (1.01, 2.5, 4.0):
+        base = rng.lognormal(-12.0, 3.0, 3000)
+        p = choose_threshold_reference(base, te, K, k_lo, p_floor, 2e4)[0]
+        for at, cap, where in ((p_floor, 1e12, "at p_floor"),
+                               (p, 2e4, "in bisection")):
+            for cut, name in ((k_lo / c, "cut"),
+                              (k_lo * (1.0 - 1e-9) / c, "lowered cut")):
+                edge = _ulps_around(at * cut ** te, 4)
+                levels[f"ulps from the {name}, t={te} {where}"] = (
+                    rng.permutation(np.concatenate([edge, base])), te, K, k_lo,
+                    p_floor, cap)
+    # w / p_floor is not a finite float for the heaviest nodes
+    heavy = np.concatenate([logn[:3000], [1e10, 3e12, 1e11]])
+    for te in (1.46, 4.0):
+        levels[f"w / p_floor overflows, t={te}"] = (
+            rng.permutation(heavy), te, K, k_lo, 1e-300, 5e4)
+    # (k_lo/c)^t is not a finite float, and the heaviest nodes are kept
+    levels["(k_lo/c)^t overflows"] = (heavy, 800.0, K, k_lo, 1e-300, 5e4)
     return levels
 
 
@@ -711,5 +823,7 @@ _LEVELS = _threshold_levels()
 @pytest.mark.parametrize("name", sorted(_LEVELS))
 def test_threshold_matches_reference_on_seeded_levels(name):
     w, t, K, k_lo, p_floor, cap = _LEVELS[name]
-    got = transfer_mod._choose_threshold(w, t, K, k_lo, p_floor, cap)
-    assert _same_choice(got, choose_threshold_reference(w, t, K, k_lo, p_floor, cap))
+    with np.errstate(over="ignore"):  # some levels overflow w / p on purpose
+        got = transfer_mod._choose_threshold(w, t, K, k_lo, p_floor, cap)
+        ref = choose_threshold_reference(w, t, K, k_lo, p_floor, cap)
+    assert _same_choice(got, ref)
