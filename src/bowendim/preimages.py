@@ -11,8 +11,14 @@ solver below handles both through the linear coefficient ``a``:
 * log regime (every k):  fixed-point iteration x <- Log(a*x - B) seeded at
   Log(-B), polished by Newton.  For |k| beyond a structural cutoff this is
   provably the only strip solution.
-* strip regime (small |k|): extra seeds at the fold of a*x - e^x (x = log a),
-  at the linear root B/a, and optionally a dense rectangular Newton grid.
+* strip regime (|k| up to k_secondary): lift k, B = rhs + 2*pi*i*k, holds
+  exactly two strip roots counted with multiplicity when |Im B| < a*pi (a
+  band lift) and exactly one when |Im B| > a*pi.  Band lifts add the two
+  seeds at the fold of a*x - e^x (x = log a).  A lift whose own seeds find
+  fewer distinct roots than its count, or that lies on the band edge, runs
+  the full robust block (fold, linear root B/a and six static seeds).  An
+  optional dense rectangular Newton grid runs on every lift up to
+  k_secondary.
 
 Roots are canonicalised into the strip, re-assigned to their true lift index
 (a canonical shift by 2*pi*i*m moves index k to k - a*m), validated against
@@ -117,22 +123,31 @@ def _log_seed(a, B):
     return x
 
 
-def _robust_seed_block(a, B):
-    """Seeds covering fold and linear roots of a*x - e^x = B.
+def _fold_seeds(a, B):
+    """The two fold seeds (fold_p, fold_m) of a*x - e^x = B: the roots of the
+    quadratic model of a*x - e^x at its critical point x = log(a).
 
-    Returns an array of shape (n_seeds, B.size).
+    Returns an array of shape (2, B.size).
     """
     B = np.asarray(B, dtype=np.complex128)
     vc = a - a * math.log(a)  # critical value of a*x - e^x at x = log(a)
     with np.errstate(all="ignore"):
         sq = np.sqrt(2.0 * a * (-B - vc))
-        fold_p = np.log(a + sq)
-        fold_m = np.log(a - sq)
-    linear = B / a
+        return np.stack([np.log(a + sq), np.log(a - sq)])
+
+
+def _robust_seed_block(a, B):
+    """Seeds covering fold and linear roots of a*x - e^x = B: the two fold
+    seeds, the linear root B/a and six static seeds around x = log(a).  Run
+    on a lift whose first seeds fall short of its root count.
+
+    Returns an array of shape (n_seeds, B.size).
+    """
+    B = np.asarray(B, dtype=np.complex128)
     crit = math.log(a)
     static = np.array([crit + 0.7, crit - 0.7, crit + 0.7j, crit - 0.7j,
                        crit + 1.4j, crit - 1.4j], dtype=np.complex128)
-    seeds = [fold_p, fold_m, linear]
+    seeds = [*_fold_seeds(a, B), B / a]
     seeds += [np.full(B.shape, s) for s in static]
     return np.stack(seeds)
 
@@ -144,6 +159,18 @@ def k_secondary(a, abs_rhs):
     fold_reach = a * (math.log(2 * a * math.e) + math.pi) + 2 * a * math.e
     k_fold = np.ceil((fold_reach + np.asarray(abs_rhs, dtype=float)) / TWO_PI)
     return np.maximum(k_fold, max(k_left, 3)).astype(np.int64)
+
+
+def _root_count(a, B):
+    """Strip roots of a*x - e^x = B per lift, counted with multiplicity, and
+    whether the lift lies within a relative 1e-9 of the band edge.
+
+    The strip's edges Im x = +-pi map monotonically onto Im = +-a*pi, and the
+    argument principle on the strip gives two roots inside the band
+    |Im B| < a*pi and one outside it.  On the edge a root lies on Im x = +-pi.
+    """
+    dist = np.abs(np.asarray(B).imag) - a * math.pi
+    return np.where(dist < 0, 2, 1), np.abs(dist) <= 1e-9 * a * math.pi
 
 
 def _grid_seeds(a, spacing):
@@ -209,11 +236,15 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
 
     Returns (i, k, x, e^x) flat arrays of validated strip roots,
     deduplicated per target and re-indexed after canonicalisation.
-    ``kmax_by_i`` bounds the lift indices kept per target.  Robust seeds are
-    added for |k| up to the target's own structural cutoff k_secondary, so
-    each target's output depends on that target alone, whatever else its
-    call solves.  A dense rectangular grid (module-grade completeness) is
-    added there too when dense_spacing is given.
+    ``kmax_by_i`` bounds the lift indices kept per target.  Every lift runs
+    the asymptotic seed.  Up to the target's own structural cutoff
+    k_secondary, the band lifts (two roots each) add the two fold seeds, and
+    a lift whose own seeds fall short of its root count, or that lies on the
+    band edge, adds the full robust seed block.  Each lift's seeds depend on
+    that lift alone, so each target's output depends on that target alone,
+    whatever else its call solves.  A dense rectangular grid (module-grade
+    completeness) is added on every lift up to k_secondary when
+    dense_spacing is given.
 
     Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; where the
     pairs fill most of their slot range, a table over the slots stands in for
@@ -316,37 +347,81 @@ def _block_cuts(pair_i):
 def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
                       dense_spacing):
     """Validated strip roots (i, k, x, e^x) before deduplication; k_sec
-    holds each target's structural cutoff."""
-    B = rhs_base[pair_i] + (TWO_PI * 1j) * pair_k
-    cand_x = [_newton_batch(a, B, _log_seed(a, B), _FAST_ITERS)]
-    cand_i = [pair_i]
-    cand_k = [pair_k]
+    holds each target's structural cutoff.
 
-    small = np.abs(pair_k) <= k_sec[pair_i]
-    if small.any():
-        Bs = B[small]
-        # one Newton batch for every robust seed, seed-major; Newton acts
-        # per entry, so this equals one batch per seed
-        seeds = _robust_seed_block(a, Bs)
-        n_seeds = seeds.shape[0]
-        cand_x.append(_newton_batch(a, np.tile(Bs, n_seeds), seeds.ravel(),
-                                    _ROBUST_ITERS))
-        cand_i.append(np.tile(pair_i[small], n_seeds))
-        cand_k.append(np.tile(pair_k[small], n_seeds))
+    Every pair runs the asymptotic seed.  Of the small lifts (|k| up to
+    k_sec), the band lifts (|Im B| < a*pi, two roots) also run the two fold
+    seeds.  A small lift on which its own seeds found fewer distinct roots
+    than its count, or that lies within a relative 1e-9 of the band edge
+    (a root on Im x = +-pi can re-index to another lift), also runs the full
+    robust seed block.  The dense grid, when given, runs on every small lift.
+    Candidates come in this order, which decides the copy of a root that the
+    dedupe keeps.  Each seed depends on its own lift's B alone.
+    """
+    B = rhs_base[pair_i] + (TWO_PI * 1j) * pair_k
+    x = _newton_batch(a, B, _log_seed(a, B), _FAST_ITERS)
+    parts = [_validated(a, rhs_base, pair_i, pair_k, x, tol)]
+    small = np.flatnonzero(np.abs(pair_k) <= k_sec[pair_i])
+    if small.size:
+        Bs, i_s, k_s = B[small], pair_i[small], pair_k[small]
+        need, edge = _root_count(a, Bs)
+        band = np.flatnonzero(need == 2)
+        # the roots that each small lift's first seeds found on that lift
+        # itself: row 0 from the asymptotic seed, rows 1 and 2 from fold_p
+        # and fold_m on band lifts
+        own = np.full((3, small.size), np.nan, dtype=np.complex128)
+        at = np.full(pair_k.size, -1, dtype=np.int64)
+        at[small] = np.arange(small.size)
+        _, ks, xc, _, pos = parts[0]
+        mine = (ks == pair_k[pos]) & (at[pos] >= 0)
+        own[0, at[pos[mine]]] = xc[mine]
+        if band.size:
+            Bb = np.tile(Bs[band], 2)
+            kb = np.tile(k_s[band], 2)
+            x = _newton_batch(a, Bb, _fold_seeds(a, Bs[band]).ravel(),
+                              _ROBUST_ITERS)
+            parts.append(_validated(a, rhs_base, np.tile(i_s[band], 2), kb,
+                                    x, tol))
+            _, ks, xc, _, pos = parts[-1]
+            mine = ks == kb[pos]
+            row, col = np.divmod(pos[mine], band.size)
+            own[1 + row, band[col]] = xc[mine]
+        # distinct in the dedupe's metric; NaN compares as not close
+        radius = max(defaults.DEDUP_FACTOR * tol, 1e-14)
+        close = [cylinder_distance(own[i], own[j]) < radius
+                 for i, j in ((1, 0), (2, 0), (2, 1))]
+        found = ~np.isnan(own)
+        distinct = found[0].astype(np.int64) + (found[1] & ~close[0]) \
+            + (found[2] & ~close[1] & ~close[2])
+        fall = np.flatnonzero((distinct < need) | edge)
+        if fall.size:
+            # one Newton batch for every robust seed, seed-major; Newton acts
+            # per entry, so this equals one batch per seed
+            seeds = _robust_seed_block(a, Bs[fall])
+            n = seeds.shape[0]
+            x = _newton_batch(a, np.tile(Bs[fall], n), seeds.ravel(),
+                              _ROBUST_ITERS)
+            parts.append(_validated(a, rhs_base, np.tile(i_s[fall], n),
+                                    np.tile(k_s[fall], n), x, tol))
         if dense_spacing is not None:
             grid = _grid_seeds(a, dense_spacing)
-            seeds = np.tile(grid, Bs.size)
-            cand_x.append(_newton_batch(a, np.repeat(Bs, grid.size), seeds,
-                                        _ROBUST_ITERS))
-            cand_i.append(np.repeat(pair_i[small], grid.size))
-            cand_k.append(np.repeat(pair_k[small], grid.size))
+            x = _newton_batch(a, np.repeat(Bs, grid.size),
+                              np.tile(grid, Bs.size), _ROBUST_ITERS)
+            parts.append(_validated(a, rhs_base, np.repeat(i_s, grid.size),
+                                    np.repeat(k_s, grid.size), x, tol))
 
-    xs = np.concatenate(cand_x)
-    is_ = np.concatenate(cand_i)
-    ks = np.concatenate(cand_k)
-    good = np.isfinite(xs)
-    xs, is_, ks = xs[good], is_[good], ks[good]
+    is_, ks, xc, ex = (np.concatenate([part[c] for part in parts])
+                       for c in range(4))
+    ok = np.abs(ks) <= kmax_arr[is_]
+    return is_[ok], ks[ok], xc[ok], ex[ok]
 
+
+def _validated(a, rhs_base, is_, ks, xs, tol):
+    """The Newton results xs for the lifts (is_, ks) that are strip roots:
+    (i, k, x, e^x, pos), with x canonicalised, k re-indexed to x's true lift
+    and pos the entry's position in xs.  Acts per entry."""
+    pos = np.flatnonzero(np.isfinite(xs))
+    xs, is_, ks = xs[pos], is_[pos], ks[pos]
     xc = canonical(xs)
     m = np.round((xs.imag - xc.imag) / TWO_PI).astype(np.int64)
     ks = ks - a * m
@@ -366,8 +441,8 @@ def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
         xc[snap] = crit
         ex[snap] = np.exp(crit)
     resid = np.abs(a * xc - ex - (rhs_base[is_] + (TWO_PI * 1j) * ks))
-    ok = (resid < tol) & (np.abs(ks) <= kmax_arr[is_])
-    return is_[ok], ks[ok], xc[ok], ex[ok]
+    ok = resid < tol
+    return is_[ok], ks[ok], xc[ok], ex[ok], pos[ok]
 
 
 def _uniform_pairs(n_targets, kmax):

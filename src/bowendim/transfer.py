@@ -269,16 +269,19 @@ class ChildTable:
 
     An entry solved to kmax serves every request for kmax' with
     k_secondary(target) <= kmax' <= kmax: its roots and misses with
-    |k| <= kmax' are the solve at kmax' bit for bit.  The pairs beyond
-    kmax' all lie beyond k_secondary and run only the asymptotic seed of
-    their own lift, whose Newton iterate stays clear of the strip's edges
-    (near Im x = -+pi/2 for large |k|), so no root of theirs re-indexes into
-    |k| <= kmax'.  A narrower kmax' (a target far to the left, with a large
-    k_secondary of its own) is solved as asked, and a wider one is solved
-    and replaces the entry.  A solve stores nothing once the table holds
-    `limit` roots (the node budget of the tree being grown), so the table
-    exceeds it by at most one chunk's roots; lookups go on, and the output
-    bits do not depend on what is cached.
+    |k| <= kmax' are the solve at kmax' bit for bit.  Every lift's seeds
+    (the asymptotic one, and up to k_secondary the fold seeds on the band
+    lifts and the robust block on a lift short of its root count) depend on
+    that lift alone, so the lifts up to kmax' run the same seeds in both
+    solves.  The pairs beyond kmax' all lie beyond k_secondary and run only
+    the asymptotic seed of their own lift, whose Newton iterate stays clear
+    of the strip's edges (near Im x = -+pi/2 for large |k|), so no root of
+    theirs re-indexes into |k| <= kmax'.  A narrower kmax' (a target far
+    to the left, with a large k_secondary of its own) is solved as asked,
+    and a wider one is solved and replaces the entry.  A solve stores
+    nothing once the table holds `limit` roots (the node budget of the tree
+    being grown), so the table exceeds it by at most one chunk's roots;
+    lookups go on, and the output bits do not depend on what is cached.
     """
 
     def __init__(self, params, tol):
@@ -333,31 +336,47 @@ class ChildTable:
                     self.roots += cut[r + 1] - cut[r] \
                         - (0 if old is None else old[2] - old[1])
         # consecutive rows of one solve are read as one slice, and a chunk
-        # read as one slice is not copied
-        runs = []
-        for cols, lo, hi, mlo, mhi, _, _ in rows:
+        # read as one slice is not copied; a run holding rows served from a
+        # wider entry keeps each row's roots and misses with |k| up to that
+        # row's kmax, which are all of them on the run's other rows
+        counts = [np.array([row[2] - row[1] for row in rows]),
+                  np.array([row[4] - row[3] for row in rows])]
+        runs = []  # [cols, lo, hi, mlo, mhi, first row, holds a wider row]
+        for j, (cols, lo, hi, mlo, mhi, km, _) in enumerate(rows):
             if runs and runs[-1][0] is cols and runs[-1][2] == lo \
                     and runs[-1][4] == mlo:
                 runs[-1][2], runs[-1][4] = hi, mhi
             else:
-                runs.append([cols, lo, hi, mlo, mhi])
-
-        def column(c, lo, hi):  # run[lo]:run[hi] bounds column c's slice
-            parts = [run[0][c][run[lo]:run[hi]] for run in runs]
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
+                runs.append([cols, lo, hi, mlo, mhi, j, False])
+            if km != kms[j]:
+                runs[-1][6] = True
+        parts = [[], [], [], []]
+        ends = [run[5] for run in runs[1:]] + [len(rows)]
+        for (cols, lo, hi, mlo, mhi, j0, wide), j1 in zip(runs, ends):
+            roots, misses = slice(lo, hi), slice(mlo, mhi)
+            if wide and hi > lo:
+                take, counts[0][j0:j1] = _within(cols[0][roots], kmax[j0:j1],
+                                                 counts[0][j0:j1])
+                roots = lo + take
+            if wide and mhi > mlo:
+                take, counts[1][j0:j1] = _within(cols[3][misses], kmax[j0:j1],
+                                                 counts[1][j0:j1])
+                misses = mlo + take
+            for c in range(3):
+                parts[c].append(cols[c][roots])
+            parts[3].append(cols[3][misses])
+        column = [p[0] if len(p) == 1 else np.concatenate(p) for p in parts]
         index = np.arange(len(rows))
-        out = [np.repeat(index, [row[2] - row[1] for row in rows]),
-               column(0, 1, 2), column(1, 1, 2), column(2, 1, 2),
-               np.repeat(index, [row[4] - row[3] for row in rows]),
-               column(3, 3, 4).astype(np.int64)]
-        if wider:
-            # the branches of a wider entry beyond the requested kmax
-            keep = np.abs(out[1]) <= kmax[out[0]]
-            out[:4] = [col[keep] for col in out[:4]]
-            keep = np.abs(out[5]) <= kmax[out[4]]
-            out[4:] = [col[keep] for col in out[4:]]
+        out = [np.repeat(index, counts[0]), *column[:3],
+               np.repeat(index, counts[1]), column[3].astype(np.int64)]
         return tuple(out)
+
+
+def _within(ks, kmax, counts):
+    """Positions in ks, the segments of rows with counts entries each, whose
+    |k| is at most their row's kmax, and how many each row keeps."""
+    take = np.flatnonzero(np.abs(ks) <= np.repeat(kmax, counts))
+    return take, np.diff(np.searchsorted(take, np.cumsum(counts)), prepend=0)
 
 
 @dataclass

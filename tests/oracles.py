@@ -80,6 +80,25 @@ def dense_root_oracle(a, rhs, box, spacing=0.1, tol=1e-11, iters=150):
     return keep_x[order], keep_k[order]
 
 
+def lift_root_oracle(a, rhs, ks, spacing=0.1, tol=1e-11):
+    """Every strip root of a*x - e^x = rhs + 2*pi*i*k, for each k in ks.
+
+    The box holds every strip root of these lifts: where Re x < 0,
+    |a*x - B| = e^Re(x) < 1 puts x within 1/a of B/a; where Re x > 0,
+    e^Re(x) <= a*(Re(x) + pi) + |B|.  Returns (counts, x, k): per k in ks
+    its roots counted with multiplicity (a root the fold snap put on
+    x = log a is double), and the roots with their lift indices.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    B = rhs + 2j * np.pi * ks
+    lo = min(0.0, float(B.real.min()) / a) - 2.0
+    hi = math.log(float(np.abs(B).max()) + 20.0 * a) + 2.0
+    x, k = dense_root_oracle(a, rhs, (lo, hi), spacing, tol)
+    mult = np.where(x == math.log(a), 2, 1)
+    counts = np.array([int(mult[k == kk].sum()) for kk in ks])
+    return counts, x, k
+
+
 def preimage_oracle(ell, c, w, box, spacing=0.1, k_cap=None, tol=1e-11):
     """Dense-grid preimages of w; optionally restricted to |k| <= k_cap."""
     A = c - (ell - 1) * np.log(complex(c))

@@ -17,8 +17,8 @@ from bowendim import (MapParams, canonical, cylinder_distance, defaults,
 from bowendim.errors import BranchMiss, InvalidTol, TNotSummable
 from bowendim.dimension import bowen_dimension
 from bowendim.preimages import _dedupe_sorted, _one_k_per_cell
-from oracles import (newton_batch_reference, preimage_arrays_reference,
-                     preimage_oracle)
+from oracles import (lift_root_oracle, newton_batch_reference,
+                     preimage_arrays_reference, preimage_oracle)
 
 TWO_PI = 2 * math.pi
 # the package exports the function preimages under the module's name
@@ -353,6 +353,210 @@ def test_dedupe_output_sorted_by_target_real_imag():
                                     np.exp(xs), 1e-10)
     assert np.array_equal(np.lexsort((x_s.imag, x_s.real, i_s)),
                           np.arange(i_s.size))
+
+
+def _count_targets(p):
+    """Canonical targets: two seeded ones, one on Im = pi, one on Im = -pi
+    (canonicalised onto pi), a real one and the fold's critical value, one
+    lift of which has a double root at x = log(ell)."""
+    rng = np.random.default_rng([29, p.ell])
+    w = [*_seeded_targets(p.ell, 2, 29),
+         complex(rng.uniform(-p.ell, 4), math.pi),
+         complex(rng.uniform(-p.ell, 4), -math.pi),
+         complex(rng.uniform(-p.ell, 4), 0.0),
+         evaluate(p, p.critical_point)]
+    return canonical(np.array(w))
+
+
+def _check_lift_counts(a, rhs, ks, counts):
+    """The library's count per lift against the oracle's (with multiplicity).
+
+    On the band edge |Im B| = a*pi one root lies on Im x = +-pi, which the
+    half-open strip gives to the lift with Im B = +a*pi: the two edge lifts,
+    a apart, hold three roots between them.
+    """
+    B = rhs + 2j * np.pi * ks
+    need, edge = preimages_mod._root_count(a, B)
+    on_edge = np.isclose(np.abs(B.imag), a * np.pi, rtol=1e-9, atol=0)
+    assert np.array_equal(edge, on_edge)
+    assert np.array_equal(counts[~edge], need[~edge])
+    for j in np.flatnonzero(edge & (B.imag > 0)):
+        partner = ks == ks[j] - a
+        if partner.any():
+            assert counts[j] + counts[partner][0] == 3
+    return ks[edge]
+
+
+def _check_same_roots(lib_k, lib_x, or_k, or_x, edge_ks):
+    """One library root per oracle root, on the same lift off the edge."""
+    assert lib_x.size == or_x.size
+    d = cylinder_distance(lib_x[:, None], or_x[None, :])
+    assert (d.min(axis=1) < 1e-9).all() and (d.min(axis=0) < 1e-9).all()
+    same_k = lib_k == or_k[d.argmin(axis=1)]
+    assert np.all(same_k | np.isin(lib_k, edge_ks))
+
+
+_COUNT_PARAMS = [(ell, c) for ell in (2, 3, 5, 8, 16)
+                 for c in (ell + 0j, ell + 0.3j, ell + 0.97 * cmath.exp(2.2j))]
+
+
+@pytest.mark.parametrize("ell, c", _COUNT_PARAMS)
+def test_lift_root_count_matches_dense_oracle(ell, c):
+    # lift k, B = rhs + 2 pi i k, has two strip roots (with multiplicity)
+    # inside the band |Im B| < a pi and one outside it; the solve without
+    # the dense grid finds every root the oracle finds.  a = ell for
+    # preimages and a = ell - 1 for fixed points
+    p = MapParams(ell, c)
+    K = ell + 4
+    ks = np.arange(-K, K + 1)
+    targets = _count_targets(p)
+    got = preimage_arrays(p, targets, K)
+    n_edge = n_double = 0
+    for i, w in enumerate(targets):
+        rhs = w - p.affine_term
+        counts, ox, ok = lift_root_oracle(ell, rhs, ks)
+        edge_ks = _check_lift_counts(ell, rhs, ks, counts)
+        sel = np.abs(ok) <= K
+        _check_same_roots(got[1][got[0] == i], got[2][got[0] == i],
+                          ok[sel], ox[sel], edge_ks)
+        n_edge += edge_ks.size
+        n_double += int(np.sum(ox[sel] == math.log(ell)))
+    assert n_double >= 1  # the critical value's double root
+    if c.imag == 0:  # lifts of the real or the Im = pi targets on the edge
+        assert n_edge >= 2
+    a = ell - 1
+    counts, ox, ok = lift_root_oracle(a, -p.affine_term, ks)
+    edge_ks = _check_lift_counts(a, -p.affine_term, ks, counts)
+    pts = fixed_points(p, (-K, K))
+    sel = np.abs(ok) <= K
+    _check_same_roots(np.array([q.branch_word[0] for q in pts]),
+                      np.array([q.point.z for q in pts]), ok[sel], ox[sel],
+                      edge_ks)
+
+
+def _spy_robust_blocks(monkeypatch):
+    """The lifts B that each solve sends to the robust seed block, and a
+    flag that is up while the block builds its seeds."""
+    blocks, inside = [], [False]
+    robust = preimages_mod._robust_seed_block
+
+    def spy(a, B):
+        blocks.append(np.array(B))
+        inside[0] = True
+        try:
+            return robust(a, B)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(preimages_mod, "_robust_seed_block", spy)
+    return blocks, inside
+
+
+def _pair_multiset(out):
+    is_, ks = out[0], out[1]
+    return sorted(zip(is_.tolist(), ks.tolist()))
+
+
+_SEED_FAILURES = ["asymptotic seed lost", "asymptotic seed on another lift",
+                  "fold seed lost", "fold seed on another lift",
+                  "fold seed on the other root"]
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (3, 3.2 - 0.3j), (5, 5.5)])
+@pytest.mark.parametrize("failing", _SEED_FAILURES)
+def test_lifts_short_of_their_count_take_the_robust_block(ell, c, failing,
+                                                          monkeypatch):
+    # the asymptotic seed fails on the band lifts and the first lift beyond
+    # each band edge, or fold_m fails on every band lift in the first pass:
+    # it is lost (NaN), or it finds a root of lift k + a shifted by -2 pi i
+    # (which re-indexes away from its own lift), or fold_m finds fold_p's
+    # root
+    p = MapParams(ell, c)
+    targets = np.concatenate([_seeded_targets(ell, 6, 5),
+                              [canonical(p.log_c),
+                               canonical(evaluate(p, p.critical_point))]])
+    ref = preimage_arrays(p, targets, 40)
+    blocks, inside = _spy_robust_blocks(monkeypatch)
+    if failing.startswith("asymptotic"):
+        log_seed = preimages_mod._log_seed
+
+        def seed(a, B):
+            x = log_seed(a, B)
+            near = np.abs(B.imag) < (a + 2) * math.pi
+            if failing.endswith("lost"):
+                x[near] = np.nan
+            else:
+                x[near] = log_seed(a, B[near] + 2j * np.pi * a) - 2j * np.pi
+            return x
+
+        monkeypatch.setattr(preimages_mod, "_log_seed", seed)
+    else:
+        fold_seeds = preimages_mod._fold_seeds
+
+        def seed(a, B):
+            x = fold_seeds(a, B)
+            if inside[0]:
+                return x
+            if failing.endswith("lost"):
+                x[1] = np.nan
+            elif failing.endswith("another lift"):
+                x[1] = preimages_mod._log_seed(a, B + 2j * np.pi * a) \
+                    - 2j * np.pi
+            else:
+                x[1] = x[0]
+            return x
+
+        monkeypatch.setattr(preimages_mod, "_fold_seeds", seed)
+    got = preimage_arrays(p, targets, 40)
+    assert _pair_multiset(got) == _pair_multiset(ref)
+    for g, r in zip(got[4:], ref[4:]):
+        assert np.array_equal(g, r)
+    fell = np.concatenate(blocks)
+    if failing.startswith("asymptotic"):
+        rhs = targets - p.affine_term
+        k_sec = preimages_mod.k_secondary(ell, np.abs(rhs))
+        for r, km in zip(rhs, k_sec):  # the band's fold seeds may do
+            B = r + 2j * np.pi * np.arange(-km, km + 1)
+            im = np.abs(B.imag)
+            beyond = B[(im >= ell * math.pi) & (im < (ell + 2) * math.pi)]
+            assert beyond.size >= 1 and np.isin(beyond, fell).all()
+    else:
+        assert fell.size > 0
+
+
+def test_band_edge_lifts_take_the_robust_block(monkeypatch):
+    # real targets at (2, 2) put lifts +-1 on Im B = +-2 pi, targets on
+    # Im = pi at (3, 3) put lifts 1 and -2 on Im B = +-3 pi; a lift a
+    # relative 1e-10 off the edge counts as on it
+    blocks, _ = _spy_robust_blocks(monkeypatch)
+    for ell, w in ((2, 0.5 + 0j), (2, -1.5 + 6e-10j), (3, 0.7 + math.pi * 1j),
+                   (3, -2.0 + (math.pi - 9e-10) * 1j)):
+        p = MapParams(ell, float(ell))
+        blocks.clear()
+        preimage_arrays(p, [w], 30)
+        rhs = w - p.affine_term
+        km = int(preimages_mod.k_secondary(ell, abs(rhs)))
+        B = rhs + 2j * np.pi * np.arange(-km, km + 1)
+        edge = np.abs(np.abs(B.imag) - ell * np.pi) <= 1e-9 * ell * np.pi
+        assert edge.sum() == 2
+        assert np.isin(B[edge], np.concatenate(blocks)).all()
+
+
+def test_robust_newton_seeds_at_the_base_point(params22, base22, monkeypatch):
+    # the (2, 2) base point at K = 512 has 9 lifts up to k_secondary; its two
+    # band lifts run the two fold seeds each and no lift falls short (every
+    # one of the 9 ran 9 robust seeds, 81 in all, before the count check)
+    runs = []
+    newton = preimages_mod._newton_batch
+
+    def spy(a, B, x0, iters):
+        if iters == preimages_mod._ROBUST_ITERS:
+            runs.append(np.size(x0))
+        return newton(a, B, x0, iters)
+
+    monkeypatch.setattr(preimages_mod, "_newton_batch", spy)
+    preimage_arrays(params22, [base22], 512)
+    assert sum(runs) == 4
 
 
 @pytest.fixture()
