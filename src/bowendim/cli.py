@@ -87,7 +87,6 @@ class RunConfig:
     accuracy: float = defaults.ACCURACY
     budget: int = defaults.NODE_BUDGET
     threads: int = 0  # 0 -> machine default
-    seed_spacing: float = defaults.SEED_SPACING
     out: str = ""
 
     def params(self) -> MapParams:
@@ -100,7 +99,7 @@ class RunConfig:
 _CASTS = {
     "ell": int, "c": parse_complex, "t": float, "K": int, "n": int,
     "prune": float, "tol": float, "accuracy": float, "budget": lambda s: int(float(s)),
-    "threads": int, "seed_spacing": float, "out": str,
+    "threads": int, "out": str,
 }
 
 
@@ -161,7 +160,7 @@ def cmd_preimages(args):
     cfg = merge_config(args)
     params = cfg.params()
     w = canonical(parse_complex(args.w) if isinstance(args.w, str) else args.w)
-    ps = preimages(params, w, cfg.K, cfg.tol, seed_spacing=cfg.seed_spacing)
+    ps = preimages(params, w, cfg.K, cfg.tol)
     rows = []
     for b in ps.branches:
         resid = cylinder_distance(evaluate(params, b.x.z), w)
@@ -354,7 +353,7 @@ def build_parser():
         return sub.add_parser(name, help=summary, allow_abbrev=False)
 
     sp = command("preimages", "enumerate branch preimages (CSV)")
-    _add_common(sp, "K", "tol", "seed_spacing")
+    _add_common(sp, "K", "tol")
     sp.add_argument("--w", type=str, required=True, help="target point a+bi")
     sp.set_defaults(func=cmd_preimages)
 

@@ -241,6 +241,12 @@ def classify_orbit(params: MapParams, z, max_iter: int = defaults.MAX_ITER,
     return OrbitClass(OrbitTag(int(tags[0])), int(used[0]))
 
 
+# classify_window iterates at most this many pixels at a time, which bounds
+# the orbit temporaries (about 90 bytes a pixel); each orbit is iterated on
+# its own, so the chunks change no tag
+_WINDOW_CHUNK = 32_768
+
+
 def classify_window(params: MapParams, re_min: float, re_max: float,
                     nx: int, ny: int, max_iter: int = defaults.MAX_ITER,
                     radius_eps: float = defaults.RADIUS_EPS):
@@ -248,14 +254,18 @@ def classify_window(params: MapParams, re_min: float, re_max: float,
 
     Returns an int8 array of OrbitTag values, shape (ny, nx); rows run from
     Im = +pi down to -pi (image orientation).  Cell centres are sampled and
-    classified by the rules of classify_orbit.
+    classified by the rules of classify_orbit, in chunks of pixels that
+    bound the temporaries whatever the resolution.
     """
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be positive")
     res = np.linspace(re_min, re_max, nx, endpoint=False) + (re_max - re_min) / (2 * nx)
     ims = math.pi - (np.arange(ny) + 0.5) * TWO_PI / ny
-    z = res[None, :] + 1j * ims[:, None]
-    tags, _ = _classify(params, z.ravel(), max_iter, radius_eps)
+    z = (res[None, :] + 1j * ims[:, None]).ravel()
+    tags = np.empty(z.size, dtype=np.int8)
+    for lo in range(0, z.size, _WINDOW_CHUNK):
+        hi = lo + _WINDOW_CHUNK
+        tags[lo:hi] = _classify(params, z[lo:hi], max_iter, radius_eps)[0]
     return tags.reshape(ny, nx)
 
 

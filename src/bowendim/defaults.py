@@ -9,8 +9,7 @@ name                  value      meaning
 ====================  =========  =====================================================
 TOL                   1e-11      residual tolerance for branch / periodic solves
 DEDUP_FACTOR          10         dedup radius = DEDUP_FACTOR * tol (cylinder metric)
-SEED_SPACING          0.35       Newton seed-grid spacing for module-level enumeration
-M0                    8.0        right edge of the strip-regime seed window
+M0                    8.0        real-part margin in k_min, the derivative-bound cutoff
 C_GEO                 2.0        safety constant in the branch-derivative lower bound
 K_MIN_FLOOR           10         smallest branch index with a certified tail bound
 RADIUS_EPS            0.05       capture radius around the attracting fixed point
@@ -35,7 +34,6 @@ import os
 
 TOL = 1e-11
 DEDUP_FACTOR = 10
-SEED_SPACING = 0.35
 M0 = 8.0
 C_GEO = 2.0
 K_MIN_FLOOR = 10

@@ -16,9 +16,8 @@ solver below handles both through the linear coefficient ``a``:
   band lift) and exactly one when |Im B| > a*pi.  Band lifts add the two
   seeds at the fold of a*x - e^x (x = log a).  A lift whose own seeds find
   fewer distinct roots than its count, or that lies on the band edge, runs
-  the full robust block (fold, linear root B/a and six static seeds).  An
-  optional dense rectangular Newton grid runs on every lift up to
-  k_secondary.
+  the full robust block (fold, linear root B/a and six static seeds).  This
+  one rule serves every caller.
 
 Roots are canonicalised into the strip, re-assigned to their true lift index
 (a canonical shift by 2*pi*i*m moves index k to k - a*m), validated against
@@ -36,6 +35,7 @@ nor on the thread count.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import threading
@@ -173,15 +173,6 @@ def _root_count(a, B):
     return np.where(dist < 0, 2, 1), np.abs(dist) <= 1e-9 * a * math.pi
 
 
-def _grid_seeds(a, spacing):
-    re_lo, re_hi = -2.0 * (a + 1) - 2.0, defaults.M0
-    nre = max(2, int(math.ceil((re_hi - re_lo) / spacing)))
-    nim = max(2, int(math.ceil(TWO_PI / spacing)))
-    res = np.linspace(re_lo, re_hi, nre)
-    ims = -math.pi + (np.arange(nim) + 0.5) * TWO_PI / nim
-    return (res[:, None] + 1j * ims[None, :]).ravel()
-
-
 def _dedupe_sorted(i_idx, ks, xs, exs, radius, alone=None):
     """Deduplicate per-target roots within a cylinder-metric radius.
 
@@ -231,7 +222,7 @@ def _one_k_per_cell(a, max_abs_ex, radius, tol):
 
 
 def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
-                          tol=defaults.TOL, dense_spacing=None):
+                          tol=defaults.TOL):
     """Solve a*x - e^x = rhs_base[i] + 2*pi*i*k for the given (i, k) pairs.
 
     Returns (i, k, x, e^x) flat arrays of validated strip roots,
@@ -242,9 +233,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     a lift whose own seeds fall short of its root count, or that lies on the
     band edge, adds the full robust seed block.  Each lift's seeds depend on
     that lift alone, so each target's output depends on that target alone,
-    whatever else its call solves.  A dense rectangular grid (module-grade
-    completeness) is added on every lift up to k_secondary when
-    dense_spacing is given.
+    whatever else its call solves.
 
     Target i owns the slots zero[i] + k for |k| <= kmax_by_i[i]; where the
     pairs fill most of their slot range, a table over the slots stands in for
@@ -274,7 +263,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     def block(lo, hi):
         is_, ks, xc, ex = _strip_candidates(
             a, rhs_base, pair_i[lo:hi], pair_k[lo:hi], kmax_arr, k_sec,
-            tol=tol, dense_spacing=dense_spacing)
+            tol=tol)
         alone = None
         if table and ex.size and _one_k_per_cell(a, float(np.abs(ex).max()),
                                                  radius, tol):
@@ -344,8 +333,7 @@ def _block_cuts(pair_i):
     return np.unique(np.concatenate(([0], pick, [n]))).tolist()
 
 
-def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
-                      dense_spacing):
+def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol):
     """Validated strip roots (i, k, x, e^x) before deduplication; k_sec
     holds each target's structural cutoff.
 
@@ -354,9 +342,9 @@ def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
     seeds.  A small lift on which its own seeds found fewer distinct roots
     than its count, or that lies within a relative 1e-9 of the band edge
     (a root on Im x = +-pi can re-index to another lift), also runs the full
-    robust seed block.  The dense grid, when given, runs on every small lift.
-    Candidates come in this order, which decides the copy of a root that the
-    dedupe keeps.  Each seed depends on its own lift's B alone.
+    robust seed block.  Candidates come in this order, which decides the
+    copy of a root that the dedupe keeps.  Each seed depends on its own
+    lift's B alone.
     """
     B = rhs_base[pair_i] + (TWO_PI * 1j) * pair_k
     x = _newton_batch(a, B, _log_seed(a, B), _FAST_ITERS)
@@ -403,12 +391,6 @@ def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol,
                               _ROBUST_ITERS)
             parts.append(_validated(a, rhs_base, np.tile(i_s[fall], n),
                                     np.tile(k_s[fall], n), x, tol))
-        if dense_spacing is not None:
-            grid = _grid_seeds(a, dense_spacing)
-            x = _newton_batch(a, np.repeat(Bs, grid.size),
-                              np.tile(grid, Bs.size), _ROBUST_ITERS)
-            parts.append(_validated(a, rhs_base, np.repeat(i_s, grid.size),
-                                    np.repeat(k_s, grid.size), x, tol))
 
     is_, ks, xc, ex = (np.concatenate([part[c] for part in parts])
                        for c in range(4))
@@ -458,8 +440,7 @@ def _uniform_pairs(n_targets, kmax):
     return pair_i, pair_k, kmax
 
 
-def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
-                    dense_spacing=None):
+def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL):
     """Flat preimage enumeration used by the transfer machinery.
 
     targets: complex array of canonical cylinder points.
@@ -472,8 +453,7 @@ def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL,
     pair_i, pair_k, kmax_arr = _uniform_pairs(targets.size, kmax)
     rhs = targets - params.affine_term
     is_, ks, xc, ex = solve_strip_equations(params.ell, rhs, pair_i, pair_k,
-                                            kmax_arr, tol=tol,
-                                            dense_spacing=dense_spacing)
+                                            kmax_arr, tol=tol)
     # the pairs enumerate every slot once, in order: pair j is slot j
     zero = np.cumsum(2 * kmax_arr + 1) - kmax_arr - 1
     marked = np.zeros(pair_k.size, dtype=bool)
@@ -565,21 +545,27 @@ class PreimageSet:
         return self._derivs.copy()
 
 
-def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL,
-              *, seed_spacing: float = defaults.SEED_SPACING) -> PreimageSet:
+def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL
+              ) -> PreimageSet:
     """Enumerate F^{-1}(w) on the cylinder for lift indices |k| <= K.
 
-    Entries are sorted by |k|, then by real part.  Missing asymptotic
-    branches (no root found where exactly one must exist) are recorded in
-    ``misses``; completeness at small |k| is audited by the test oracles.
+    The roots are those of ``preimage_arrays(params, [w], K)``, sorted by
+    |k|, then by real part, imaginary part and k.  Each lift up to
+    k_secondary is checked against its root count, and a lift short of it
+    runs the robust seeds.  Missing asymptotic branches (no root found where
+    exactly one must exist) are recorded in ``misses``.  A non-finite w
+    raises ValueError.
     """
     if tol <= 0:
         raise InvalidTol(f"tol must be positive, got {tol}")
     if K < 1:
         raise ValueError("K must be >= 1")
-    wt = canonical(complex(_as_c(w)))
-    is_, ks, xs, ders, mi, mk = preimage_arrays(
-        params, np.array([wt]), K, tol=tol, dense_spacing=seed_spacing)
+    w = _as_c(w)
+    if not cmath.isfinite(w):
+        raise ValueError(f"target w must be finite, got {w!r}")
+    wt = canonical(w)
+    is_, ks, xs, ders, mi, mk = preimage_arrays(params, np.array([wt]), K,
+                                                tol=tol)
     order = np.lexsort((ks, xs.imag, xs.real, np.abs(ks)))
     ks, xs, ders = ks[order], xs[order], ders[order]
 
@@ -637,13 +623,14 @@ def inverse_branch(params: MapParams, w, branch_word, tol: float = defaults.TOL
     return CylinderPoint.from_complex(v)
 
 
-def fixed_points(params: MapParams, k_range, tol: float = defaults.TOL,
-                 *, seed_spacing: float = defaults.SEED_SPACING):
+def fixed_points(params: MapParams, k_range, tol: float = defaults.TOL):
     """All period-1 points of the cylinder map for lift indices in k_range.
 
     k_range is an inclusive (lo, hi) pair or an explicit iterable of ints.
-    The k=0 list always contains log(c).  Non-convergent indices are logged,
-    not fatal; completeness is audited by the seed-grid oracle in the tests.
+    The k=0 list always contains log(c).  The points solve the strip
+    equations with linear coefficient ell - 1 under the same seeding rule as
+    the preimages, so each lift up to k_secondary is checked against its
+    root count.  Missing indices beyond k_secondary are logged, not fatal.
     """
     if tol <= 0:
         raise InvalidTol(f"tol must be positive, got {tol}")
@@ -655,8 +642,8 @@ def fixed_points(params: MapParams, k_range, tol: float = defaults.TOL,
     rhs = np.array([-params.affine_term])
     pair_i = np.zeros(ks_wanted.size, dtype=np.int64)
     kmax = np.array([int(np.max(np.abs(ks_wanted))) if ks_wanted.size else 0])
-    is_, ks, xs, ex = solve_strip_equations(
-        a, rhs, pair_i, ks_wanted, kmax, tol=tol, dense_spacing=seed_spacing)
+    is_, ks, xs, ex = solve_strip_equations(a, rhs, pair_i, ks_wanted, kmax,
+                                            tol=tol)
     keep = np.isin(ks, ks_wanted)
     ks, xs, ex = ks[keep], xs[keep], ex[keep]
     order = np.lexsort((ks, xs.imag, xs.real, np.abs(ks)))

@@ -149,8 +149,7 @@ def dedupe_reference(i_idx, ks, xs, exs, radius):
     return i_s[keep], k_s[keep], x_s[keep], e_s[keep]
 
 
-def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
-                              dense_spacing=None):
+def preimage_arrays_reference(params, targets, kmax, tol=1e-11):
     """preimage_arrays(...) finished the reference way.
 
     The library's validated candidates (before deduplication) go through
@@ -165,8 +164,7 @@ def preimage_arrays_reference(params, targets, kmax, tol=1e-11,
     rhs = targets - params.affine_term
     a = params.ell
     k_sec = k_secondary(a, np.abs(rhs))  # each target's own cutoff
-    cand = _strip_candidates(a, rhs, pair_i, pair_k, kmax_arr, k_sec, tol=tol,
-                             dense_spacing=dense_spacing)
+    cand = _strip_candidates(a, rhs, pair_i, pair_k, kmax_arr, k_sec, tol=tol)
     is_, ks, xc, ex = dedupe_reference(*cand, defaults.DEDUP_FACTOR * tol)
     fast = np.abs(pair_k) > k_sec[pair_i]
     want = pair_i[fast] * np.int64(1 << 22) + pair_k[fast]

@@ -131,14 +131,29 @@ def test_unknown_config_key_is_usage_error(tmp_path):
 
 
 def test_format_flag_and_key_are_usage_errors(tmp_path):
+    # removed knobs: --format (config key fmt) and --seed-spacing
+    # (config key seed_spacing)
     argv = ["preimages", "--ell", "2", "--c", "2+0i", "--w", "1+0i",
             "--out", str(tmp_path / "x.csv")]
-    with pytest.raises(SystemExit) as e:
-        main(argv + ["--format", "csv"])
-    assert e.value.code == 2
-    cfg = tmp_path / "fmt.cfg"
-    cfg.write_text("fmt = csv\n")
-    assert main(argv + ["--config", str(cfg)]) == 2
+    for flag, key, value in (("--format", "fmt", "csv"),
+                             ("--seed-spacing", "seed_spacing", "0.35")):
+        with pytest.raises(SystemExit) as e:
+            main(argv + [flag, value])
+        assert e.value.code == 2
+        cfg = tmp_path / "knob.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(argv + ["--config", str(cfg)]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("w", ["1e400", "0.5+1e400i"])
+def test_non_finite_target_is_usage_error(tmp_path, w, capsys):
+    out = tmp_path / "x.csv"
+    rc = main(["preimages", "--ell", "2", "--c", "2+0i", "--w", w,
+               "--K", "5", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code():

@@ -8,6 +8,7 @@ from bowendim import (CylinderPoint, MapParams, OrbitTag, canonical,
                       classify_orbit, classify_window, cylinder_distance, defaults,
                       derivative, evaluate, fixed_points, orbit_derivative,
                       param_derivative)
+import bowendim.cylinder as cylinder_mod
 from bowendim.cylinder import _classify
 from conftest import random_disk_params
 from oracles import (ESCAPE_PLUS_INFINITY, classify_orbit_reference,
@@ -206,6 +207,17 @@ def test_compacting_kernel_matches_reference_near_boundary(rng):
     assert want[row * n:(row + 1) * n] == [(OrbitTag.UNRESOLVED, 0)] * n
     assert list(zip(got_tags.tolist(), got_used.tolist())) == \
         [(int(tag), used) for tag, used in want]
+
+
+def test_window_chunks_give_the_same_tags(monkeypatch):
+    # chunks of 7 pixels split the window's rows, so orbits decided at
+    # different iterates share a chunk; the tags equal one chunk's bit for bit
+    p = MapParams(3, 3 + 0.9j)
+    whole = classify_window(p, -6, 6, 40, 30)
+    monkeypatch.setattr(cylinder_mod, "_WINDOW_CHUNK", 7)
+    chunked = classify_window(p, -6, 6, 40, 30)
+    assert chunked.dtype == whole.dtype and chunked.shape == whole.shape
+    assert chunked.tobytes() == whole.tobytes()
 
 
 def test_fixed_points_contract(params22):

@@ -17,8 +17,9 @@ from bowendim import (MapParams, canonical, cylinder_distance, defaults,
 from bowendim.errors import BranchMiss, InvalidTol, TNotSummable
 from bowendim.dimension import bowen_dimension
 from bowendim.preimages import _dedupe_sorted, _one_k_per_cell
-from oracles import (lift_root_oracle, newton_batch_reference,
-                     preimage_arrays_reference, preimage_oracle)
+from oracles import (dedupe_reference, lift_root_oracle,
+                     newton_batch_reference, preimage_arrays_reference,
+                     preimage_oracle)
 
 TWO_PI = 2 * math.pi
 # the package exports the function preimages under the module's name
@@ -148,6 +149,36 @@ def test_preimage_set_contract(params22):
         _derivs=np.ones(len(ims), dtype=np.complex128))
     assert edge.points().tobytes() == \
         np.array([b.x.z for b in edge.branches]).tobytes()
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (3, 3.0), (3, 3.2 - 0.3j),
+                                    (5, 5.0)])
+def test_preimages_are_preimage_arrays_in_branch_order(ell, c):
+    # one solver: preimages() returns the bits of preimage_arrays() for its
+    # one target, in its documented order, on generic targets and on targets
+    # with a lift on the band edge |Im B| = a*pi (the Im = pi and real ones
+    # at real c); a tolerance below the large-|k| residuals gives misses
+    p = MapParams(ell, c)
+    targets = list(_count_targets(p))
+    if c == 3.0:
+        targets.append(-5.560410724670101 + 3.141592653589793j)
+    n_missed = 0
+    for w in targets:
+        for tol in (defaults.TOL, 1e-14):
+            ps = preimages(p, w, 25, tol)
+            _, ks, xs, ders, _, mk = preimage_arrays(p, [w], 25, tol=tol)
+            order = np.lexsort((ks, xs.imag, xs.real, np.abs(ks)))
+            _same_bits((ps.ks(), ps._xs, ps.derivs()),
+                       (ks[order], xs[order], ders[order]))
+            assert ps.misses == tuple(sorted(mk.tolist()))
+            n_missed += len(ps.misses)
+    assert n_missed > 0
+
+
+def test_non_finite_target_is_rejected(params22):
+    for w in (complex(1e400, 0.0), complex(0.5, 1e400), complex("nan+1j")):
+        with pytest.raises(ValueError, match="finite"):
+            preimages(params22, w, 5)
 
 
 def test_count_matches_dense_oracle(params22):
@@ -316,15 +347,24 @@ def test_slot_table_fallback_when_cells_can_span_k():
 
 
 def test_slot_table_with_many_small_k_duplicates():
-    # dense Newton seeds land on every small-|k| root many times over
+    # every small-|k| pair is asked for 16 times, so each of its roots comes
+    # many times over into one slot, while the lone large-|k| roots take the
+    # slot shortcut
     for ell, c in ((2, 2.0), (3, 3.2 - 0.3j)):
         p = MapParams(ell, c)
         crit_value = canonical(evaluate(p, p.critical_point))
         targets = np.concatenate([[p.log_c, crit_value],
                                   _seeded_targets(ell, 3, 11)])
-        got = preimage_arrays(p, targets, 30, dense_spacing=0.35)
-        ref, cand = preimage_arrays_reference(p, targets, 30,
-                                              dense_spacing=0.35)
+        rhs = targets - p.affine_term
+        pair_i, pair_k, kmax = preimages_mod._uniform_pairs(targets.size, 12)
+        k_sec = preimages_mod.k_secondary(ell, np.abs(rhs))
+        reps = np.where(np.abs(pair_k) <= k_sec[pair_i], 16, 1)
+        pair_i, pair_k = np.repeat(pair_i, reps), np.repeat(pair_k, reps)
+        got = preimages_mod.solve_strip_equations(ell, rhs, pair_i, pair_k,
+                                                  kmax)
+        cand = preimages_mod._strip_candidates(ell, rhs, pair_i, pair_k, kmax,
+                                               k_sec, tol=defaults.TOL)
+        ref = dedupe_reference(*cand, defaults.DEDUP_FACTOR * defaults.TOL)
         assert cand[0].size > 5 * got[0].size
         _same_bits(got, ref)
 
@@ -403,9 +443,9 @@ _COUNT_PARAMS = [(ell, c) for ell in (2, 3, 5, 8, 16)
 @pytest.mark.parametrize("ell, c", _COUNT_PARAMS)
 def test_lift_root_count_matches_dense_oracle(ell, c):
     # lift k, B = rhs + 2 pi i k, has two strip roots (with multiplicity)
-    # inside the band |Im B| < a pi and one outside it; the solve without
-    # the dense grid finds every root the oracle finds.  a = ell for
-    # preimages and a = ell - 1 for fixed points
+    # inside the band |Im B| < a pi and one outside it; the solve finds
+    # every root the oracle finds.  a = ell for preimages and a = ell - 1
+    # for fixed points
     p = MapParams(ell, c)
     K = ell + 4
     ks = np.arange(-K, K + 1)
@@ -640,17 +680,6 @@ def test_blocked_solve_when_cells_can_span_k(small_blocks, monkeypatch):
     # the guard of the slot shortcut fails in the block holding the largest
     # |e^x| (got[3] is 2 - e^x)
     assert not _one_k_per_cell(2, float(np.abs(2 - got[3]).max()), radius, tol)
-
-
-def test_blocked_solve_with_dense_seeds(small_blocks, monkeypatch):
-    p = MapParams(3, 3.2 - 0.3j)
-    crit_value = canonical(evaluate(p, p.critical_point))
-    targets = np.concatenate([[p.log_c, crit_value],
-                              _seeded_targets(3, 4, 11)])
-    ref = _one_block(lambda: preimage_arrays(p, targets, 30, dense_spacing=0.35),
-                     monkeypatch)
-    got = preimage_arrays(p, targets, 30, dense_spacing=0.35)
-    _same_bits(got, ref)
 
 
 def test_other_threads_solve_as_one_block(small_blocks, monkeypatch):
