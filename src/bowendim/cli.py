@@ -265,6 +265,8 @@ def cmd_classify(args):
 
 
 def cmd_continue_orbit(args):
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     cfg = merge_config(args)
     params = cfg.params()
     start = None

@@ -95,7 +95,7 @@ class MapParams:
         object.__setattr__(self, "ell", int(ell))
         c = complex(self.c)
         object.__setattr__(self, "c", c)
-        if abs(c - self.ell) >= 1.0:
+        if not abs(c - self.ell) < 1.0:  # NaN compares False
             raise ValueError(f"c={c} must lie in the open disk D({self.ell}, 1)")
 
     @property

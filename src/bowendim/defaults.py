@@ -26,6 +26,8 @@ STEP_HALVINGS         6          retries (halving the step) before a track abort
 DENOM_GUARD           1e-6       guard on |1 - (F^n)'| in the continuation derivative
 SWEEP_MARGIN          0.05       keep-out margin from the boundary of D(ell, 1)
 RICHARDSON_TOL        0.30       relative tolerance for second-difference consistency
+BOWEN_DIM_THREADS     (env)      worker threads (default_threads); unset: the CPUs
+                                 in this process's affinity mask
 ====================  =========  =====================================================
 """
 
@@ -62,10 +64,14 @@ def k_min(ell, c):
 
 
 def default_threads():
+    """BOWEN_DIM_THREADS if set to an integer, else the CPUs this process may
+    run on (its affinity mask where the OS has one)."""
     env = os.environ.get(THREADS_ENV)
     if env:
         try:
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1

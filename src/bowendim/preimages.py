@@ -9,15 +9,15 @@ points solve the same kind of equation with ell replaced by ell-1.  The
 solver below handles both through the linear coefficient ``a``:
 
 * log regime (every k):  fixed-point iteration x <- Log(a*x - B) seeded at
-  Log(-B), polished by Newton.  For |k| beyond a structural cutoff this is
-  provably the only strip solution.
+  Log(-B), polished by Newton.  Beyond the band edge k_secondary this is
+  provably the only strip solution (see the strip regime).
 * strip regime (|k| up to k_secondary): lift k, B = rhs + 2*pi*i*k, holds
   exactly two strip roots counted with multiplicity when |Im B| < a*pi (a
-  band lift) and exactly one when |Im B| > a*pi.  Band lifts add the two
-  seeds at the fold of a*x - e^x (x = log a).  A lift whose own seeds find
-  fewer distinct roots than its count, or that lies on the band edge, runs
-  the full robust block (fold, linear root B/a and six static seeds).  This
-  one rule serves every caller.
+  band lift) and exactly one when |Im B| > a*pi; no band lift lies beyond
+  k_secondary.  Band lifts add the two seeds at the fold of a*x - e^x
+  (x = log a).  A lift whose own seeds find fewer distinct roots than its
+  count, or that lies on the band edge, runs the full robust block (fold,
+  linear root B/a and six static seeds).  This one rule serves every caller.
 
 Roots are canonicalised into the strip, re-assigned to their true lift index
 (a canonical shift by 2*pi*i*m moves index k to k - a*m), validated against
@@ -26,8 +26,8 @@ the residual tolerance, and deduplicated in the cylinder metric.
 Every step is per target, so a large call is solved in contiguous blocks of
 targets on one process-wide thread pool (``defaults.default_threads()``
 workers; numpy releases the GIL in its kernels) and the blocks are joined in
-target order.  The structural cutoff k_secondary is each target's own, from
-its own |rhs|, so a target's roots do not depend on the other targets of its
+target order.  The band edge k_secondary is each target's own, from its own
+Im rhs, so a target's roots do not depend on the other targets of its
 call.  Only the main thread fans out: other threads (sweep cells) solve the
 same bounded blocks in turn.  The output bits depend neither on the blocks
 nor on the thread count.
@@ -152,13 +152,11 @@ def _robust_seed_block(a, B):
     return np.stack(seeds)
 
 
-def k_secondary(a, abs_rhs):
-    """Largest |k| that can carry strip roots beyond the asymptotic branch,
-    per target, from a bound on that target's |rhs| (an array of them)."""
-    k_left = math.ceil((a + 1) / 2)
-    fold_reach = a * (math.log(2 * a * math.e) + math.pi) + 2 * a * math.e
-    k_fold = np.ceil((fold_reach + np.asarray(abs_rhs, dtype=float)) / TWO_PI)
-    return np.maximum(k_fold, max(k_left, 3)).astype(np.int64)
+def k_secondary(a, im_rhs):
+    """The band edge per target, from its Im rhs (an array of them): every
+    band or edge lift k (see _root_count) has |k| <= k_secondary, so each
+    lift beyond it holds exactly one strip root."""
+    return np.ceil((a * math.pi + np.abs(im_rhs)) / TWO_PI).astype(np.int64)
 
 
 def _root_count(a, B):
@@ -228,8 +226,8 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     Returns (i, k, x, e^x) flat arrays of validated strip roots,
     deduplicated per target and re-indexed after canonicalisation.
     ``kmax_by_i`` bounds the lift indices kept per target.  Every lift runs
-    the asymptotic seed.  Up to the target's own structural cutoff
-    k_secondary, the band lifts (two roots each) add the two fold seeds, and
+    the asymptotic seed.  Up to the target's own band edge k_secondary,
+    the band lifts (two roots each) add the two fold seeds, and
     a lift whose own seeds fall short of its root count, or that lies on the
     band edge, adds the full robust seed block.  Each lift's seeds depend on
     that lift alone, so each target's output depends on that target alone,
@@ -250,7 +248,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     if tol <= 0:
         raise InvalidTol(f"tol must be positive, got {tol}")
     a = int(a)
-    k_sec = k_secondary(a, np.abs(rhs_base))
+    k_sec = k_secondary(a, rhs_base.imag)
     kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
     radius = defaults.DEDUP_FACTOR * tol
     ends = np.cumsum(2 * kmax_arr + 1)
@@ -335,7 +333,7 @@ def _block_cuts(pair_i):
 
 def _strip_candidates(a, rhs_base, pair_i, pair_k, kmax_arr, k_sec, *, tol):
     """Validated strip roots (i, k, x, e^x) before deduplication; k_sec
-    holds each target's structural cutoff.
+    holds each target's band edge.
 
     Every pair runs the asymptotic seed.  Of the small lifts (|k| up to
     k_sec), the band lifts (|Im B| < a*pi, two roots) also run the two fold
@@ -458,7 +456,7 @@ def preimage_arrays(params: MapParams, targets, kmax, *, tol=defaults.TOL):
     zero = np.cumsum(2 * kmax_arr + 1) - kmax_arr - 1
     marked = np.zeros(pair_k.size, dtype=bool)
     marked[zero[is_] + ks] = True
-    miss = ~marked & (np.abs(pair_k) > k_secondary(params.ell, np.abs(rhs))[pair_i])
+    miss = ~marked & (np.abs(pair_k) > k_secondary(params.ell, rhs.imag)[pair_i])
     return is_, ks, xc, params.ell - ex, pair_i[miss], pair_k[miss]
 
 
@@ -653,7 +651,7 @@ def fixed_points(params: MapParams, k_range, tol: float = defaults.TOL):
         pts.append(PeriodicPoint(CylinderPoint.from_complex(x), 1,
                                  complex(mult), (int(k),)))
     found = set(int(k) for k in ks)
-    k_sec = int(k_secondary(a, abs(rhs[0])))
+    k_sec = int(k_secondary(a, rhs[0].imag))
     missing = [int(k) for k in ks_wanted
                if int(k) not in found and abs(int(k)) > k_sec]
     if missing:

@@ -222,6 +222,11 @@ class GridSpec:
     nx: int
     ny: int
 
+    def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"grid needs nx >= 1 and ny >= 1, got "
+                             f"nx={self.nx}, ny={self.ny}")
+
     @classmethod
     def square(cls, center, half_width, n):
         return cls(complex(center), float(half_width), float(half_width),

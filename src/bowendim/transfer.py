@@ -121,13 +121,14 @@ def default_base_point(params: MapParams) -> complex:
 # 2 pi |k| - max|rhs| <= |Im B| < a pi + 1 + tol.  _LIFT_SLACK lowers L_k
 # past the rounding of the residual gate, of the strip edge and of L_k
 # itself, each below 1e-11 while the terms stay under 1e4.
-# Beyond its k_secondary a target has at most one root per lift, so a probe
-# with k_secondary <= _K_FIRST and no first-stage miss adds at most
-# 2 sum L_k^-t (_K_FIRST < k <= _K_PROBE) to its first-stage sum.  The pairs
-# the full solve adds run only the asymptotic seed of their own lift, so its
-# roots at |k| <= _K_FIRST are the first stage's, but for a root that a far
-# pair finds shifted by a lift: a copy within 2 tol / |F'| of the one it
-# displaces, whose weight moves by a relative 3 t tol / |F'| at most.
+# Beyond its k_secondary, the band edge, a target has one root per lift
+# (preimages._root_count), so a probe with k_secondary <= _K_FIRST and no
+# first-stage miss adds at most 2 sum L_k^-t (_K_FIRST < k <= _K_PROBE) to
+# its first-stage sum.  The pairs the full solve adds run only the
+# asymptotic seed of their own lift, so its roots at |k| <= _K_FIRST are the
+# first stage's, but for a root that a far pair finds shifted by a lift: a
+# copy within 2 tol / |F'| of the one it displaces, whose weight moves by a
+# relative 3 t tol / |F'| at most.
 # _SUP_SLACK (1 + t) covers that where |F'| >= 1 (tol = TOL = 1e-11), and
 # the rounding of the three sums (under 2^10 terms each, added in order:
 # 2.3e-13 each) and of the powers.
@@ -211,9 +212,9 @@ def _sup_l1_probe(params: MapParams):
     x1 = solve(base, 24)[2]
     x2 = solve(x1, 8)[2]
     probes = np.concatenate([base, x1, x2])
-    rhs = np.abs(probes - params.affine_term)
-    lift = _lift_bounds(params.ell, float(rhs.max()), defaults.TOL)
-    unbounded = k_secondary(params.ell, rhs) > _K_FIRST
+    rhs = probes - params.affine_term
+    lift = _lift_bounds(params.ell, float(np.abs(rhs).max()), defaults.TOL)
+    unbounded = k_secondary(params.ell, rhs.imag) > _K_FIRST
     if (lift <= 0).any():
         unbounded[:] = True
     # the first stage of a probe it cannot bound would only be thrown away
@@ -273,15 +274,15 @@ class ChildTable:
     (the asymptotic one, and up to k_secondary the fold seeds on the band
     lifts and the robust block on a lift short of its root count) depend on
     that lift alone, so the lifts up to kmax' run the same seeds in both
-    solves.  The pairs beyond kmax' all lie beyond k_secondary and run only
-    the asymptotic seed of their own lift, whose Newton iterate stays clear
-    of the strip's edges (near Im x = -+pi/2 for large |k|), so no root of
-    theirs re-indexes into |k| <= kmax'.  A narrower kmax' (a target far
-    to the left, with a large k_secondary of its own) is solved as asked,
-    and a wider one is solved and replaces the entry.  A solve stores
-    nothing once the table holds `limit` roots (the node budget of the tree
-    being grown), so the table exceeds it by at most one chunk's roots;
-    lookups go on, and the output bits do not depend on what is cached.
+    solves.  The pairs beyond kmax' lie beyond the band edge k_secondary and
+    run only the asymptotic seed of their own lift, for its one root, whose
+    Newton iterate stays clear of the strip's edges (near Im x = -+pi/2 for
+    large |k|), so no root of theirs re-indexes into |k| <= kmax'.  A
+    narrower kmax' is solved as asked, and a wider one is solved and
+    replaces the entry.  A solve stores nothing once the table holds
+    `limit` roots (the node budget of the tree being grown), so the table
+    exceeds it by at most one chunk's roots; lookups go on, and the output
+    bits do not depend on what is cached.
     """
 
     def __init__(self, params, tol):
@@ -317,7 +318,7 @@ class ChildTable:
             si, sk, sx, sd, smi, smk = preimage_arrays(
                 self.params, targets[sub], kmax[sub], tol=self.tol)
             k_sec = k_secondary(self.params.ell,
-                                np.abs(targets[sub] - self.params.affine_term))
+                                (targets[sub] - self.params.affine_term).imag)
             # what the readers need, compact and read-only; a row is one
             # target's slice of it, (cols, lo, hi, mlo, mhi, kmax, k_sec)
             cols = (sk.astype(np.int16), sx, np.abs(sd), smk.astype(np.int16))

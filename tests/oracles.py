@@ -163,7 +163,7 @@ def preimage_arrays_reference(params, targets, kmax, tol=1e-11):
     pair_i, pair_k, kmax_arr = _uniform_pairs(targets.size, kmax)
     rhs = targets - params.affine_term
     a = params.ell
-    k_sec = k_secondary(a, np.abs(rhs))  # each target's own cutoff
+    k_sec = k_secondary(a, rhs.imag)  # each target's own cutoff
     cand = _strip_candidates(a, rhs, pair_i, pair_k, kmax_arr, k_sec, tol=tol)
     is_, ks, xc, ex = dedupe_reference(*cand, defaults.DEDUP_FACTOR * tol)
     fast = np.abs(pair_k) > k_sec[pair_i]

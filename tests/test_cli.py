@@ -177,6 +177,28 @@ def test_numerical_failure_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag, value", [("--nx", "0"), ("--ny", "0"),
+                                         ("--nx", "-2")])
+def test_empty_sweep_grid_is_usage_error(tmp_path, flag, value, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--ell", "2", "--c", "2+0i", "--nx", "3", "--ny", "3",
+               flag, value, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert f"{flag[2:]}={value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_continue_orbit_needs_a_step(tmp_path, steps, capsys):
+    out = tmp_path / "t.csv"
+    rc = main(["continue-orbit", "--ell", "2", "--c", "2+0i",
+               "--c-end", "2+0.1i", "--steps", steps, "--out", str(out)])
+    assert rc == 2
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"--steps must be >= 1, got {steps}" in captured.err
+
+
 def test_continue_orbit_csv(tmp_path):
     out = tmp_path / "t.csv"
     rc = main(["continue-orbit", "--ell", "2", "--c", "2+0i",

@@ -26,6 +26,13 @@ def test_params_validation():
     assert p.multiplier == 2 - (2.3 + 0.4j)
 
 
+@pytest.mark.parametrize("c", [complex("nan"), complex(2.0, math.nan),
+                               complex(math.nan, 0.1), complex(math.inf, 0.0)])
+def test_params_reject_non_finite_c(c):
+    with pytest.raises(ValueError):
+        MapParams(2, c)
+
+
 def test_canonical_strip():
     assert canonical(1j * math.pi).imag == pytest.approx(math.pi)
     assert canonical(-1j * math.pi).imag == pytest.approx(math.pi)  # -pi -> pi

@@ -357,7 +357,7 @@ def test_slot_table_with_many_small_k_duplicates():
                                   _seeded_targets(ell, 3, 11)])
         rhs = targets - p.affine_term
         pair_i, pair_k, kmax = preimages_mod._uniform_pairs(targets.size, 12)
-        k_sec = preimages_mod.k_secondary(ell, np.abs(rhs))
+        k_sec = preimages_mod.k_secondary(ell, rhs.imag)
         reps = np.where(np.abs(pair_k) <= k_sec[pair_i], 16, 1)
         pair_i, pair_k = np.repeat(pair_i, reps), np.repeat(pair_k, reps)
         got = preimages_mod.solve_strip_equations(ell, rhs, pair_i, pair_k,
@@ -554,7 +554,7 @@ def test_lifts_short_of_their_count_take_the_robust_block(ell, c, failing,
     fell = np.concatenate(blocks)
     if failing.startswith("asymptotic"):
         rhs = targets - p.affine_term
-        k_sec = preimages_mod.k_secondary(ell, np.abs(rhs))
+        k_sec = preimages_mod.k_secondary(ell, rhs.imag)
         for r, km in zip(rhs, k_sec):  # the band's fold seeds may do
             B = r + 2j * np.pi * np.arange(-km, km + 1)
             im = np.abs(B.imag)
@@ -575,17 +575,57 @@ def test_band_edge_lifts_take_the_robust_block(monkeypatch):
         blocks.clear()
         preimage_arrays(p, [w], 30)
         rhs = w - p.affine_term
-        km = int(preimages_mod.k_secondary(ell, abs(rhs)))
+        km = int(preimages_mod.k_secondary(ell, rhs.imag))
         B = rhs + 2j * np.pi * np.arange(-km, km + 1)
         edge = np.abs(np.abs(B.imag) - ell * np.pi) <= 1e-9 * ell * np.pi
         assert edge.sum() == 2
         assert np.isin(B[edge], np.concatenate(blocks)).all()
 
 
+def _band_edge_targets(p, a):
+    """Targets that put lifts of a*x - e^x = rhs + 2 pi i k on the band edge
+    |Im B| = a*pi, and a relative 5e-10 and 2e-9 outside it."""
+    rng = np.random.default_rng([37, p.ell, a])
+    out = []
+    for off in (0.0, 5e-10, -5e-10, 2e-9, -2e-9):
+        im = math.remainder(p.affine_term.imag + a * math.pi * (1 + off), TWO_PI)
+        out += [complex(re, im) for re in rng.uniform(-40, 20, 2)]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 8, 16])
+def test_k_secondary_is_the_band_edge(ell):
+    # every lift with two roots or on the band edge lies within k_secondary,
+    # and k_secondary lies at most one lift beyond the last of them; a = ell
+    # for preimages and a = ell - 1 for fixed points.  Besides canonical
+    # targets, rhs values with |Im rhs| up to 3 pi stretch the band's reach
+    rng = np.random.default_rng([43, ell])
+    wide = rng.uniform(-40, 20, 8) + 1j * rng.uniform(-3 * math.pi, 3 * math.pi, 8)
+    n_edge = 0
+    for c in (ell + 0j, ell + 0.3j, ell + 0.97 * cmath.exp(2.2j)):
+        p = MapParams(ell, c)
+        targets = np.concatenate([
+            _seeded_targets(ell, 8, 41), [p.log_c, evaluate(p, p.critical_point)],
+            [complex(r, s * math.pi) for r in (-30.0, 5.0) for s in (1, -1)]])
+        for a in (ell, ell - 1):
+            rhs = np.concatenate([canonical(targets), _band_edge_targets(p, a)]) \
+                - p.affine_term
+            rhs = np.concatenate([rhs, wide])
+            k_sec = preimages_mod.k_secondary(a, rhs.imag)
+            ks = np.arange(-ell - 4, ell + 5)
+            need, edge = preimages_mod._root_count(a, rhs[:, None] + 2j * np.pi * ks)
+            flagged = (need == 2) | edge
+            assert flagged.any(axis=1).all()
+            top = np.where(flagged, np.abs(ks), -1).max(axis=1)
+            assert (top <= k_sec).all() and (k_sec <= top + 1).all()
+            assert (k_sec < ks.max()).all()
+            n_edge += int(edge.sum())
+    assert n_edge > 0
+
+
 def test_robust_newton_seeds_at_the_base_point(params22, base22, monkeypatch):
-    # the (2, 2) base point at K = 512 has 9 lifts up to k_secondary; its two
-    # band lifts run the two fold seeds each and no lift falls short (every
-    # one of the 9 ran 9 robust seeds, 81 in all, before the count check)
+    # the (2, 2) base point at K = 512 has 5 lifts up to k_secondary; its two
+    # band lifts run the two fold seeds each and no lift falls short
     runs = []
     newton = preimages_mod._newton_batch
 
@@ -652,14 +692,15 @@ def _target_rows(out, i):
 
 @pytest.mark.parametrize("blocks", ["one block", "small blocks"])
 def test_target_roots_do_not_depend_on_co_targets(blocks, request):
-    # a far-left co-target has a large |rhs|, hence a large cutoff of its
-    # own; the near target's roots must come out as when it is solved alone
+    # a co-target near Im = pi has |Im rhs| > pi, hence a larger cutoff of
+    # its own; the other target's roots must come out as when it is solved
+    # alone
     if blocks == "small blocks":
         request.getfixturevalue("small_blocks")
-    p = MapParams(2, 2.0)
-    z, far = -7.0 - 0.7j, -40.0 + 0.5j
+    p = MapParams(3, 3.2 - 0.3j)
+    z, far = -7.0 - 0.7j, -40.0 + 3.1j
     k_sec = preimages_mod.k_secondary
-    assert k_sec(2, abs(z - p.affine_term)) < k_sec(2, abs(far - p.affine_term))
+    assert k_sec(3, (z - p.affine_term).imag) < k_sec(3, (far - p.affine_term).imag)
     alone = preimage_arrays(p, [z], 64)
     both = preimage_arrays(p, [z, far], 64)
     rows = _target_rows(both, 0)
@@ -764,3 +805,17 @@ def test_import_and_base_point_start_no_thread():
                          env={**os.environ, "PYTHONPATH": src})
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "0"
+
+
+def test_default_threads_follow_affinity_mask(monkeypatch):
+    # one CPU in this process's mask on a 64-CPU machine gives one worker;
+    # BOWEN_DIM_THREADS overrides it, and without a mask the CPU count stands
+    monkeypatch.delenv(defaults.THREADS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5}, raising=False)
+    assert defaults.default_threads() == 1
+    monkeypatch.setenv(defaults.THREADS_ENV, "3")
+    assert defaults.default_threads() == 3
+    monkeypatch.delenv(defaults.THREADS_ENV)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert defaults.default_threads() == 64

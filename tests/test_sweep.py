@@ -126,6 +126,12 @@ def test_smoothness_needs_five_points():
         smoothness_diagnostic(grid)
 
 
+@pytest.mark.parametrize("nx, ny", [(0, 3), (3, 0), (-2, 3), (0, 0)])
+def test_grid_needs_a_cell(nx, ny):
+    with pytest.raises(ValueError, match=f"nx={nx}, ny={ny}"):
+        GridSpec(2 + 0j, 0.25, 0.25, nx, ny)
+
+
 def test_sweep_margin_enforced():
     with pytest.raises(ValueError):
         sweep_dimension(2, GridSpec.square(2.0, 0.99, 3), 0.1)

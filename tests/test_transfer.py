@@ -263,7 +263,7 @@ def _sup_reference(p, ts):
 _SUP_TS = (1.01, 1.05, 1.2, 1.46, 1.8, 2.5, 4.0, 9.0)
 
 
-def test_lift_bound_soundness(monkeypatch):
+def test_lift_bound_soundness():
     # every validated root of lift 32 < |k| <= 256 has |F'| >= L_k; targets on
     # the strip edges, far left and far right stretch |rhs| and the root's Im
     ks_first, ks_probe = transfer_mod._K_FIRST, transfer_mod._K_PROBE
@@ -274,28 +274,27 @@ def test_lift_bound_soundness(monkeypatch):
             targets = np.array([complex(re, s * math.pi)
                                 for re in np.linspace(-2 * ell, 8, 11)
                                 for s in (1, -1)])
-            rhs = np.abs(targets - p.affine_term)
+            rhs = targets - p.affine_term
             # the one-root-per-lift claim holds beyond k_secondary
-            assert k_secondary(ell, rhs).max() <= ks_first
+            assert k_secondary(ell, rhs.imag).max() <= ks_first
             _, k, _, der, mi, _ = preimage_arrays(p, targets, ks_probe)
             assert mi.size == 0
             far = np.abs(k) > ks_first
             assert far.sum() == 2 * (ks_probe - ks_first) * targets.size
-            lift = transfer_mod._lift_bounds(ell, float(rhs.max()), defaults.TOL)
+            lift = transfer_mod._lift_bounds(ell, float(np.abs(rhs).max()),
+                                             defaults.TOL)
             assert lift.size == ks_probe - ks_first and lift.min() > 0
             ratio = np.abs(der[far]) / lift[np.abs(k[far]) - ks_first - 1]
             assert ratio.min() >= 1.0
             worst = min(worst, float(ratio.min()))
     assert worst < 1.05  # the bound is within 5% of some |F'|
     # a large ell: some L_k <= 0, so every probe is solved in full, and L_k
-    # still bounds every root of a lift where it is positive; each probe's
-    # k_secondary beyond 32 would send it to the full solve as well, so it is
-    # taken out of play
+    # still bounds every root of a lift where it is positive; no probe's
+    # k_secondary lies beyond 32, which would send it to the full solve as well
     p = MapParams(20, 20.0)
     _sup_l1_probe.cache_clear()
-    monkeypatch.setattr(transfer_mod, "k_secondary",
-                        lambda a, rhs: np.zeros(np.shape(rhs), np.int64))
     probe = _sup_l1_probe(p)
+    assert k_secondary(20, (probe.probes - p.affine_term).imag).max() <= ks_first
     assert probe.lift.min() <= 0 and probe.unbounded.all()
     assert _sup_l1(p, 1.5) == _sup_reference(p, [1.5])[0][0]
     assert probe.full.all()
@@ -489,7 +488,7 @@ def test_child_table_key(solved_pairs):
     p = MapParams(2, 2.0)
     table = ChildTable(p, 1e-11)
     z = 0.3 + 1.1j
-    far = -40.0 + 0.5j  # a large |rhs|, hence a large cutoff of its own
+    far = -40.0 + 0.5j
     on_axis, neg_zero = 2.0 + 0.0j, complex(2.0, -0.0)
     calls = [([z], [40], 81), ([z], [40], 0), ([z], [41], 83),
              ([z, z], [40, 41], 0), ([z, far], [40, 40], 81),
@@ -515,7 +514,7 @@ def test_narrow_requests_served_from_a_wide_entry(ell, solved_pairs):
         axis = rng.uniform(-2 * ell, 6, 4)
         targets = np.concatenate([z, axis + 0.0j, [complex(r, -0.0) for r in axis]])
         wide = rng.integers(30, 120, targets.size)
-        k_sec = k_secondary(ell, np.abs(targets - p.affine_term))
+        k_sec = k_secondary(ell, (targets - p.affine_term).imag)
         assert (k_sec < 30).all()
         # the edges of the range, and the lifts a re-indexed root would
         # come from (k -> k - a m)
@@ -535,11 +534,14 @@ def test_narrow_requests_served_from_a_wide_entry(ell, solved_pairs):
 
 
 def test_table_solves_below_k_secondary_and_beyond_its_entry(solved_pairs):
-    p = MapParams(2, 2.0)
+    # at ell = 16 the band edge of a real rhs is 8 and of any other is 9
+    p = MapParams(16, 16.0)
     table = ChildTable(p, 1e-11)
-    far = -40.0 + 0.5j  # k_secondary 11, beyond the narrow kmax
+    far = -40.0 + 0.5j  # k_secondary 9, beyond the narrow kmax
     on_axis, neg_zero = 2.0 + 0.0j, complex(2.0, -0.0)
-    assert k_secondary(2, abs(far - p.affine_term)) == 11
+    assert k_secondary(16, [(w - p.affine_term).imag
+                            for w in (far, on_axis, neg_zero)]).tolist() \
+        == [9, 8, 8]
     calls = [([far, on_axis], [40, 40], 162, 0),
              ([far, on_axis], [8, 8], 17, 1),     # far solved, on_axis served
              ([neg_zero], [8], 17, 0),            # -0.0 has an entry of its own
