@@ -93,6 +93,8 @@ class RunConfig:
         return MapParams(self.ell, self.c)
 
     def nthreads(self) -> int:
+        if self.threads < 0:
+            raise ValueError(f"threads must be >= 0, got {self.threads}")
         return self.threads if self.threads > 0 else defaults.default_threads()
 
 
@@ -175,6 +177,9 @@ def cmd_preimages(args):
 
 def cmd_pressure(args):
     cfg = merge_config(args)
+    if not cfg.t > 1.0:
+        # the library's TNotSummable is a numerical failure; here t is input
+        raise ValueError(f"t must be > 1, got {cfg.t}")
     params = cfg.params()
     base = default_base_point(params)
     est = pressure_ratio(params, cfg.t, base, cfg.n, cfg.K, cfg.prune, cfg.budget)

@@ -188,7 +188,9 @@ def _classify(params: MapParams, z, max_iter, radius_eps):
     ones leave the working arrays.  The rules are checked in this order at
     every iterate: a NaN coordinate leaves the orbit unresolved; Re < -2*ell
     (that half plane lies in the invariant Baker domain) is a Baker escape;
-    entering the radius_eps neighbourhood of log(c) is attraction.
+    entering the radius_eps neighbourhood of log(c) is attraction.  Both
+    entry points, classify_orbit and classify_window, reach their checks of
+    max_iter >= 1 and radius_eps > 0 here.
 
     There is no rule for escape to +infinity, because in float64 no orbit
     can show one.  Such a rule needs a streak of five consecutive growing
@@ -202,6 +204,10 @@ def _classify(params: MapParams, z, max_iter, radius_eps):
     ell >= 71 the threshold is above 709.78, so the first counted iterate
     already overflows and the streak ends after 2.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if not radius_eps > 0:
+        raise ValueError("radius_eps must be positive")
     tags = np.full(z.shape, int(OrbitTag.UNRESOLVED), dtype=np.int8)
     used = np.full(z.shape, max_iter, dtype=np.int64)
     idx = np.arange(z.size)
@@ -232,10 +238,6 @@ def classify_orbit(params: MapParams, z, max_iter: int = defaults.MAX_ITER,
     unresolved), with the number of map steps taken before it was decided
     (the rules, and why there is no escape to +infinity, are documented at
     _classify)."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if radius_eps <= 0:
-        raise ValueError("radius_eps must be positive")
     tags, used = _classify(params, np.array([canonical(_val(z))]), max_iter,
                            radius_eps)
     return OrbitClass(OrbitTag(int(tags[0])), int(used[0]))

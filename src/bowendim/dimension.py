@@ -11,11 +11,12 @@ accuracy as limited by operator truncation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from . import defaults
 from .cylinder import MapParams
-from .errors import AccuracyNotReached, NoBracket
+from .errors import AccuracyNotReached, NoBracket, NumericsError
 from .transfer import (ChildTable, PressureEstimate, _sup_l1_probe,
                        best_ratio_estimate, default_base_point)
 
@@ -93,7 +94,8 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     bracket (smooth in the parameter c, unlike the raw midpoint) and always
     lies strictly inside it.  Every tree of the solve draws its branch
     solves from one ChildTable, so each node's children are solved once, or
-    again only for a wider truncation.
+    again only for a wider truncation.  A pressure estimate that is not
+    finite raises NumericsError naming its t, with the trace so far.
     """
     if accuracy <= 0:
         raise ValueError("accuracy must be positive")
@@ -112,6 +114,11 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         except AccuracyNotReached as exc:
             e = exc.estimate
         trace.append((t, e.value, e.uncertainty))
+        if not math.isfinite(e.value):
+            # sign_of would read a NaN as a negative sign
+            exc = NumericsError(f"no finite pressure estimate at t={t:g}")
+            exc.trace = trace
+            raise exc
         return e
 
     def sign_of(e):
@@ -186,5 +193,5 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
                   "targets, %d roots; sup probe solved %d probes in full",
                   params, children.pairs_solved, children.pairs_requested,
                   children.served_wider, len(children.entries),
-                  children.roots, _sup_l1_probe(params).full.sum())
+                  children.roots, len(_sup_l1_probe(params).table.entries))
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

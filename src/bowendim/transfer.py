@@ -16,9 +16,11 @@ Following the boundedness of the normalised iterates, the supremum is
 modelled as M * alpha^(n-j) with alpha the measured level-sum ratio and M a
 runtime probe estimate; both are heuristic and reported as such.  M is the
 largest of about a thousand per-probe sums over |k| <= 256.  The probes and
-their branches |k| <= 32 are solved once per parameter; per t, closed-form
-bounds on the branches beyond 32 leave only a few probes that may hold the
-maximum, and only those are solved to 256 (once per parameter as well).
+their branches |k| <= 32 are solved once per parameter.  Beyond 32, Im F'
+alone bounds every branch's |F'| from below, so per t two rounds find the
+maximum: the probe with the largest first-stage sum is solved to 256, then
+every probe whose bound reaches that sum; a probe solved to 256 is kept for
+every later t.
 
 Every branch solve goes through a ChildTable, which keeps one entry per
 solved target, its roots and |F'| from the widest solve so far, and serves
@@ -110,17 +112,12 @@ def default_base_point(params: MapParams) -> complex:
     raise NumericsError(f"no repelling fixed point found for k=+-1 at {params}")
 
 
-# The sup probe's maximum from bounds.  A validated root x = u + iv
-# (|v| <= pi) of lift k solves e^x = a x - B - r, with B = rhs + 2 pi i k and
-# |r| < tol.  So e^u <= 2 pi |k| + max|rhs| + a (u + pi) + tol, and u <= R_k,
-# the fixed point of R = log(2 pi |k| + max|rhs| + a (R + pi) + tol): the
-# right side grows slower than R, so its iteration from above stays above.
-# As F' = a - e^x = B + r - a (x - 1), for 0 <= u <= R_k
-#     |F'| >= 2 pi |k| - max|rhs| - a (1 + R_k + pi) - tol = L_k,
-# and L_k > 0 rules out u < 0: then |e^x| < 1 would give
-# 2 pi |k| - max|rhs| <= |Im B| < a pi + 1 + tol.  _LIFT_SLACK lowers L_k
-# past the rounding of the residual gate, of the strip edge and of L_k
-# itself, each below 1e-11 while the terms stay under 1e4.
+# The sup probe's maximum from bounds.  A validated root x (|Im x| <= pi) of
+# lift k solves e^x = a x - B - r, with B = rhs + 2 pi i k and |r| < tol, so
+# F' = a - e^x = B + r - a (x - 1), and |F'| >= |Im F'| gives
+#     |F'| >= 2 pi |k| - max|Im rhs| - a pi - tol = L_k.
+# _LIFT_SLACK lowers L_k past the rounding of the residual gate, of the strip
+# edge and of L_k itself, each below 1e-11 while the terms stay under 1e4.
 # Beyond its k_secondary, the band edge, a target has one root per lift
 # (preimages._root_count), so a probe with k_secondary <= _K_FIRST and no
 # first-stage miss adds at most 2 sum L_k^-t (_K_FIRST < k <= _K_PROBE) to
@@ -136,27 +133,22 @@ _LIFT_SLACK = 1e-9
 _SUP_SLACK = 1e-10
 
 
-def _lift_bounds(a, rhs_max, tol):
+def _lift_bounds(a, im_max, tol):
     """L_k for _K_FIRST < k <= _K_PROBE: |F'| >= L_k at every validated root
-    of lift +-k of a target with |rhs| <= rhs_max, wherever L_k > 0."""
+    of lift +-k of a target with |Im rhs| <= im_max."""
     ks = np.arange(_K_FIRST + 1, _K_PROBE + 1)
-    c = TWO_PI * ks + rhs_max + tol
-    r = c  # above R_k, as log(c + a (c + pi)) < c
-    for _ in range(40):
-        r = np.log(c + a * (r + math.pi))
-    return TWO_PI * ks - rhs_max - a * (1.0 + r + math.pi) - tol - _LIFT_SLACK
+    return TWO_PI * ks - im_max - a * math.pi - tol - _LIFT_SLACK
 
 
 class _SupProbe:
-    """One parameter's sup probe: the first stage, and the probes solved to
-    _K_PROBE so far.
+    """One parameter's sup probe: the first stage, and a table that keeps
+    every probe solved to _K_PROBE.
 
     unbounded marks the probes that the first stage does not bound: all of
     them where some L_k <= 0, else those with a k_secondary beyond _K_FIRST
     or a first-stage miss.  dabs and parent hold |F'| over the branches
     |k| <= _K_FIRST of every other probe (and of those with a miss) and each
-    branch's probe index; lift holds L_k.  full marks the probes solved to
-    _K_PROBE, whose solves the table keeps.
+    branch's probe index; lift holds L_k.
     """
 
     def __init__(self, table, probes, dabs, parent, lift, unbounded):
@@ -164,7 +156,6 @@ class _SupProbe:
         self.probes = probes
         self.dabs, self.parent, self.lift = dabs, parent, lift
         self.unbounded = unbounded
-        self.full = np.zeros(probes.size, dtype=bool)
         self._lock = threading.Lock()
 
     def bounds(self, t):
@@ -179,15 +170,13 @@ class _SupProbe:
             bound[ok] = (first[ok] + tail) * (1.0 + _SUP_SLACK * (1.0 + t))
         return first, bound
 
-    def full_sums(self, want, t):
-        """Solve the probes in `want` to _K_PROBE; every probe so solved, and
-        its exact sum at t."""
+    def sums(self, ids, t):
+        """The exact sums at t of the probes ids, solved to _K_PROBE or
+        served from the table."""
         with self._lock:
-            self.full[want] = True
-            ids = np.flatnonzero(self.full)
             parent, _, _, dabs, _, _ = self.table.solve(
                 self.probes[ids], np.full(ids.size, _K_PROBE), math.inf)
-        return ids, np.bincount(parent, weights=dabs ** (-t), minlength=ids.size)
+        return np.bincount(parent, weights=dabs ** (-t), minlength=ids.size)
 
 
 @functools.lru_cache(maxsize=4)
@@ -213,7 +202,7 @@ def _sup_l1_probe(params: MapParams):
     x2 = solve(x1, 8)[2]
     probes = np.concatenate([base, x1, x2])
     rhs = probes - params.affine_term
-    lift = _lift_bounds(params.ell, float(np.abs(rhs).max()), defaults.TOL)
+    lift = _lift_bounds(params.ell, float(np.abs(rhs.imag).max()), defaults.TOL)
     unbounded = k_secondary(params.ell, rhs.imag) > _K_FIRST
     if (lift <= 0).any():
         unbounded[:] = True
@@ -233,22 +222,22 @@ def _sup_l1(params: MapParams, t: float) -> float:
     """Runtime estimate of sup of L_t 1 over the Julia set: the largest
     per-probe sum of |F'|^-t over |k| <= _K_PROBE, plus the k-tail bound.
 
-    A probe is solved to _K_PROBE only if it has the largest first-stage sum,
-    the first stage does not bound it, or its bound (first-stage sum plus
-    2 sum L_k^-t, widened by _SUP_SLACK) reaches the largest exact sum; every
-    other probe's sum lies below that one.  Each exact sum adds its probe's
-    branches in branch order, and a probe's roots do not depend on the
-    probes solved with it, so the result is the one full solve's bit for bit.
+    Two rounds find the maximum.  The first solves to _K_PROBE the probes
+    the first stage does not bound and the one with the largest first-stage
+    sum; b is the largest of their sums.  The second takes every probe whose
+    bound (first-stage sum plus 2 sum L_k^-t, widened by _SUP_SLACK) reaches
+    b: the first round's maximiser, whose bound is at least b, and every
+    probe that may exceed b, so its largest sum is the maximum.  Each exact
+    sum adds its probe's branches in branch order, and a probe's roots do
+    not depend on the probes solved with it, so the result is the one full
+    solve's bit for bit.
     """
     probe = _sup_l1_probe(params)
     first, bound = probe.bounds(t)
-    want = np.append(np.flatnonzero(probe.unbounded), np.argmax(first))
-    while True:
-        ids, sums = probe.full_sums(want, t)
-        best = sums.max()
-        want = np.flatnonzero(~(bound < best))
-        if np.isin(want, ids).all():
-            return float(best + tail_bound_value(_K_PROBE, t))
+    ids = np.union1d(np.flatnonzero(probe.unbounded), np.argmax(first))
+    best = probe.sums(ids, t).max()
+    ids = np.flatnonzero(~(bound < best))
+    return float(probe.sums(ids, t).max() + tail_bound_value(_K_PROBE, t))
 
 
 # ------------------------------------------------------------- tree builder
@@ -560,6 +549,8 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError(f"K must be <= {_K_LIMIT}, got {K}")
     if prune < 0:
         raise ValueError("prune must be >= 0")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     own_table = children is None
     if own_table:
         children = ChildTable(params, tol)

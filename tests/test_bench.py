@@ -57,4 +57,4 @@ def test_bench_traced_dim_base_round():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    assert result["metrics"]["preimages.pairs"]["value"] == 113_523
+    assert result["metrics"]["preimages.pairs"]["value"] == 113_010

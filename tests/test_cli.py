@@ -177,6 +177,25 @@ def test_numerical_failure_exit_code(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--budget", "0"],
+    ["pressure", "--t", "1.0"],
+    ["pressure", "--t", "0.5"],
+    ["dim", "--budget", "0"],
+    ["sweep", "--threads", "-3", "--nx", "1", "--ny", "1", "--budget", "5000",
+     "--accuracy", "0.5"],
+    ["classify", "--res", "4x4", "--max-iter", "0"],
+    ["classify", "--res", "4x4", "--radius-eps", "0"],
+    ["classify", "--res", "4x4", "--radius-eps", "-1"],
+])
+def test_input_outside_the_domain_is_usage_error(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    rc = main(argv + ["--ell", "2", "--c", "2+0i", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(argv[0] + ": ")
+
+
 @pytest.mark.parametrize("flag, value", [("--nx", "0"), ("--ny", "0"),
                                          ("--nx", "-2")])
 def test_empty_sweep_grid_is_usage_error(tmp_path, flag, value, capsys):

@@ -137,6 +137,17 @@ def test_classify_critical_orbit():
         assert oc.tag == OrbitTag.ATTRACTED_TO_LOG_C
 
 
+@pytest.mark.parametrize("max_iter, radius_eps", [(0, 0.05), (-1, 0.05),
+                                                   (10, 0.0), (10, -1.0),
+                                                   (10, math.nan)])
+def test_classify_entry_points_share_their_checks(params22, max_iter,
+                                                  radius_eps):
+    with pytest.raises(ValueError):
+        classify_orbit(params22, 0.5 + 0.5j, max_iter, radius_eps)
+    with pytest.raises(ValueError):
+        classify_window(params22, -6.0, 6.0, 4, 4, max_iter, radius_eps)
+
+
 def test_classify_window_matches_scalar(params22, base22):
     # both entry points against a scalar loop: window tags, and the tag and
     # iterations_used of every orbit

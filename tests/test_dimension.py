@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from bowendim import bowen_dimension, pressure, zeta_pressure
-from bowendim.errors import AccuracyNotReached
+import bowendim.dimension as dimension_mod
+from bowendim import MapParams, bowen_dimension, pressure, zeta_pressure
+from bowendim.errors import AccuracyNotReached, NoBracket, NumericsError
 from bowendim.sweep import expansion_constants
+from bowendim.transfer import PressureEstimate
 
 
 def press(params, t, attempts=2):
@@ -54,6 +56,26 @@ def test_pressure_validates_inputs(params22):
         pressure(params22, 0.9, 1e-2)
     with pytest.raises(ValueError):
         pressure(params22, 1.5, -1.0)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            pressure(params22, 1.5, 0.1, budget=budget)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_pressure_is_a_numerical_failure(monkeypatch, bad):
+    # a pressure that changes sign between 1.4 and 1.7 on the scan grid and
+    # is not finite at the first bisection point: that must not move the
+    # bracket as a sign would
+    def fake(params, t, z, n, K, prune, budget, *, children=None):
+        value = 1.46 - t if t in (1.05, 1.2, 1.4, 1.7) else bad
+        return PressureEstimate(t, value, 1.0, n, K, prune)
+
+    monkeypatch.setattr(dimension_mod, "best_ratio_estimate", fake)
+    with pytest.raises(NumericsError, match=r"t=1\.55") as e:
+        bowen_dimension(MapParams(2, 2.0), accuracy=1e-3)
+    assert not isinstance(e.value, NoBracket)
+    assert [t for t, _, _ in e.value.trace] == [1.05, 1.2, 1.4, 1.7,
+                                                0.5 * (1.4 + 1.7)]
 
 
 def test_accuracy_not_reached_carries_estimate(params22):

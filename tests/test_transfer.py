@@ -263,17 +263,25 @@ def _sup_reference(p, ts):
 _SUP_TS = (1.01, 1.05, 1.2, 1.46, 1.8, 2.5, 4.0, 9.0)
 
 
+def _solved_in_full(probe):
+    """The indices of the probes that the sup probe's table holds, each
+    solved to _K_PROBE."""
+    keys = map(tuple, probe.probes.view(np.uint64).reshape(-1, 2).tolist())
+    return [i for i, key in enumerate(keys) if key in probe.table.entries]
+
+
 def test_lift_bound_soundness():
     # every validated root of lift 32 < |k| <= 256 has |F'| >= L_k; targets on
-    # the strip edges, far left and far right stretch |rhs| and the root's Im
+    # both strip edges and on Im = pi/2, far left and far right, stretch
+    # |Im rhs| and the root's Im
     ks_first, ks_probe = transfer_mod._K_FIRST, transfer_mod._K_PROBE
     worst = math.inf
-    for ell in range(2, 7):
+    for ell in (2, 3, 4, 5, 6, 8, 16, 32, 60):
         for c in (ell, ell + 0.7j):
             p = MapParams(ell, c)
-            targets = np.array([complex(re, s * math.pi)
+            targets = np.array([complex(re, im)
                                 for re in np.linspace(-2 * ell, 8, 11)
-                                for s in (1, -1)])
+                                for im in (math.pi, -math.pi, math.pi / 2)])
             rhs = targets - p.affine_term
             # the one-root-per-lift claim holds beyond k_secondary
             assert k_secondary(ell, rhs.imag).max() <= ks_first
@@ -281,29 +289,31 @@ def test_lift_bound_soundness():
             assert mi.size == 0
             far = np.abs(k) > ks_first
             assert far.sum() == 2 * (ks_probe - ks_first) * targets.size
-            lift = transfer_mod._lift_bounds(ell, float(np.abs(rhs).max()),
-                                             defaults.TOL)
+            lift = transfer_mod._lift_bounds(
+                ell, float(np.abs(rhs.imag).max()), defaults.TOL)
             assert lift.size == ks_probe - ks_first and lift.min() > 0
             ratio = np.abs(der[far]) / lift[np.abs(k[far]) - ks_first - 1]
             assert ratio.min() >= 1.0
-            worst = min(worst, float(ratio.min()))
+            if ell <= 6:
+                worst = min(worst, float(ratio.min()))
     assert worst < 1.05  # the bound is within 5% of some |F'|
-    # a large ell: some L_k <= 0, so every probe is solved in full, and L_k
-    # still bounds every root of a lift where it is positive; no probe's
-    # k_secondary lies beyond 32, which would send it to the full solve as well
-    p = MapParams(20, 20.0)
+
+
+def test_band_edge_mask_decides_where_lift_bounds_hold():
+    # at (64, 64) every L_k is positive, but every probe's band edge lies
+    # beyond 32, where lift 33 may hold two roots: the band-edge rule alone
+    # sends every probe to the full solve.  At (66, 66) L_33 <= 0 does.
+    ks_first = transfer_mod._K_FIRST
     _sup_l1_probe.cache_clear()
-    probe = _sup_l1_probe(p)
-    assert k_secondary(20, (probe.probes - p.affine_term).imag).max() <= ks_first
-    assert probe.lift.min() <= 0 and probe.unbounded.all()
-    assert _sup_l1(p, 1.5) == _sup_reference(p, [1.5])[0][0]
-    assert probe.full.all()
-    _, k, _, der, _, _ = preimage_arrays(p, probe.probes, ks_probe)
-    far = np.abs(k) > ks_first
-    lift = probe.lift[np.abs(k[far]) - ks_first - 1]
-    assert (lift > 0).any()
-    assert np.all(np.abs(der[far])[lift > 0] >= lift[lift > 0])
-    _sup_l1_probe.cache_clear()
+    try:
+        p = MapParams(64, 64.0)
+        probe = _sup_l1_probe(p)
+        assert probe.lift.min() > 0 and probe.unbounded.all()
+        assert k_secondary(64, (probe.probes - p.affine_term).imag).min() > ks_first
+        probe = _sup_l1_probe(MapParams(66, 66.0))
+        assert probe.lift[0] <= 0 and probe.unbounded.all()
+    finally:
+        _sup_l1_probe.cache_clear()
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
@@ -316,7 +326,7 @@ def test_sup_l1_bits_match_one_full_solve(ell):
         assert [_sup_l1(p, t) for t in _SUP_TS] == values
         probe = _sup_l1_probe(p)
         assert not probe.unbounded.any()
-        assert 0 < probe.full.sum() < probe.probes.size // 20
+        assert 0 < len(probe.table.entries) < probe.probes.size // 20
         for t, ref in zip(_SUP_TS, sums):
             first, bound = probe.bounds(t)
             assert np.all(first <= ref) and np.all(ref <= bound)
@@ -350,10 +360,38 @@ def test_weakest_probe_misleads_first_stage(monkeypatch, mode):
         unbounded = [weakest] if mode == "miss" else []
         assert np.flatnonzero(probe.unbounded).tolist() == unbounded
         assert [_sup_l1(p, t) for t in ts] == values
-        assert probe.full[weakest]
-        assert probe.full[int(np.argmax(sums[0]))]
+        solved = _solved_in_full(probe)
+        assert weakest in solved and int(np.argmax(sums[0])) in solved
     finally:
         _sup_l1_probe.cache_clear()
+
+
+@pytest.mark.parametrize("ell", [16, 20])
+def test_sup_probe_solves_few_probes_in_full_at_large_ell(ell):
+    # L_k from Im F' alone stays positive and tight at ell 16 and 20, so the
+    # two rounds of _sup_l1 solve a handful of the thousands of probes to 256
+    _sup_l1_probe.cache_clear()
+    try:
+        for c in (ell, ell + 0.5j):
+            p = MapParams(ell, c)
+            for t in _SUP_TS:
+                _sup_l1(p, t)
+            probe = _sup_l1_probe(p)
+            assert probe.probes.size > 2000 and not probe.unbounded.any()
+            assert 0 < len(probe.table.entries) <= 8
+    finally:
+        _sup_l1_probe.cache_clear()
+
+
+def test_sup_l1_bits_do_not_depend_on_the_order_of_t():
+    # _sup_l1 keeps no state across t but the probes the table holds, so
+    # visiting the same t in two orders gives the reference bits both times
+    p = MapParams(3, 3.2 - 0.3j)
+    values = dict(zip(_SUP_TS, _sup_reference(p, _SUP_TS)[0]))
+    for ts in (_SUP_TS, _SUP_TS[::-1], _SUP_TS[1::2] + _SUP_TS[::2]):
+        _sup_l1_probe.cache_clear()
+        assert [_sup_l1(p, t) for t in ts] == [values[t] for t in ts]
+    _sup_l1_probe.cache_clear()
 
 
 def test_sup_probe_solve_counts(params22, solved_pairs):
