@@ -224,19 +224,19 @@ def _sup_l1(params: MapParams, t: float) -> float:
 
     Two rounds find the maximum.  The first solves to _K_PROBE the probes
     the first stage does not bound and the one with the largest first-stage
-    sum; b is the largest of their sums.  The second takes every probe whose
-    bound (first-stage sum plus 2 sum L_k^-t, widened by _SUP_SLACK) reaches
-    b: the first round's maximiser, whose bound is at least b, and every
-    probe that may exceed b, so its largest sum is the maximum.  Each exact
-    sum adds its probe's branches in branch order, and a probe's roots do
-    not depend on the probes solved with it, so the result is the one full
-    solve's bit for bit.
+    sum; b is the largest of their sums.  The second takes those probes
+    again (served from the table) and every probe whose bound (first-stage
+    sum plus 2 sum L_k^-t, widened by _SUP_SLACK) reaches b, which holds
+    every probe that may exceed b, so its largest sum is the maximum.  Each
+    exact sum adds its probe's branches in branch order, and a probe's roots
+    do not depend on the probes solved with it, so the result is the one
+    full solve's bit for bit.
     """
     probe = _sup_l1_probe(params)
     first, bound = probe.bounds(t)
     ids = np.union1d(np.flatnonzero(probe.unbounded), np.argmax(first))
     best = probe.sums(ids, t).max()
-    ids = np.flatnonzero(~(bound < best))
+    ids = np.union1d(ids, np.flatnonzero(~(bound < best)))
     return float(probe.sums(ids, t).max() + tail_bound_value(_K_PROBE, t))
 
 

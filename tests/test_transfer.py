@@ -369,13 +369,14 @@ def test_weakest_probe_misleads_first_stage(monkeypatch, mode):
 @pytest.mark.parametrize("ell", [16, 20])
 def test_sup_probe_solves_few_probes_in_full_at_large_ell(ell):
     # L_k from Im F' alone stays positive and tight at ell 16 and 20, so the
-    # two rounds of _sup_l1 solve a handful of the thousands of probes to 256
+    # two rounds of _sup_l1 solve a handful of the thousands of probes to 256,
+    # and still return the bits of one full solve of every probe
     _sup_l1_probe.cache_clear()
     try:
         for c in (ell, ell + 0.5j):
             p = MapParams(ell, c)
-            for t in _SUP_TS:
-                _sup_l1(p, t)
+            values = _sup_reference(p, _SUP_TS)[0]
+            assert [_sup_l1(p, t) for t in _SUP_TS] == values
             probe = _sup_l1_probe(p)
             assert probe.probes.size > 2000 and not probe.unbounded.any()
             assert 0 < len(probe.table.entries) <= 8
