@@ -41,8 +41,8 @@ def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
     """
     if t <= 1.0:
         raise ValueError("pressure is defined for t > 1")
-    if accuracy <= 0:
-        raise ValueError("accuracy must be positive")
+    if not 0 < accuracy < math.inf:
+        raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
     base = default_base_point(params) if z is None else complex(z)
     best = None
     for n, K, prune, nodes in _ATTEMPTS[:max_attempts]:
@@ -94,11 +94,12 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     bracket (smooth in the parameter c, unlike the raw midpoint) and always
     lies strictly inside it.  Every tree of the solve draws its branch
     solves from one ChildTable, so each node's children are solved once, or
-    again only for a wider truncation.  A pressure estimate that is not
+    again only for a wider truncation, and a tree level that repeats an
+    earlier one is answered whole.  A pressure estimate that is not
     finite raises NumericsError naming its t, with the trace so far.
     """
-    if accuracy <= 0:
-        raise ValueError("accuracy must be positive")
+    if not 0 < accuracy < math.inf:
+        raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
     base = default_base_point(params)
     evals = 0
     trace = []
@@ -189,9 +190,11 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     }
     if log.isEnabledFor(logging.DEBUG):
         log.debug("bowen_dimension %s: %d of %d pairs solved, %d requests "
-                  "served from a wider solve; children table holds %d "
-                  "targets, %d roots; sup probe solved %d probes in full",
+                  "served from a wider solve, %d answered whole; children "
+                  "table holds %d targets, %d roots; sup probe solved %d "
+                  "probes in full",
                   params, children.pairs_solved, children.pairs_requested,
-                  children.served_wider, len(children.entries),
-                  children.roots, len(_sup_l1_probe(params).table.entries))
+                  children.served_wider, children.answered_whole,
+                  len(children.entries), children.roots,
+                  len(_sup_l1_probe(params).table.entries))
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

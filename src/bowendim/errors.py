@@ -14,7 +14,7 @@ class TNotSummable(NumericsError):
 
 
 class InvalidTol(ValueError):
-    """A tolerance argument was non-positive."""
+    """A tolerance argument was not positive, or too large to dedupe with."""
 
 
 class BranchMiss(NumericsError):

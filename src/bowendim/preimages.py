@@ -219,6 +219,14 @@ def _one_k_per_cell(a, max_abs_ex, radius, tol):
     return (a + max_abs_ex * math.exp(d)) * d + 2.0 * tol < math.pi
 
 
+def _check_tol(tol):
+    """Raise InvalidTol unless tol is positive and its dedupe radius
+    DEDUP_FACTOR * tol is below pi, half the cylinder's circumference."""
+    if not 0 < defaults.DEDUP_FACTOR * tol < math.pi:
+        raise InvalidTol(f"tol must be positive with {defaults.DEDUP_FACTOR}"
+                         f" * tol below pi, got {tol}")
+
+
 def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
                           tol=defaults.TOL):
     """Solve a*x - e^x = rhs_base[i] + 2*pi*i*k for the given (i, k) pairs.
@@ -245,8 +253,7 @@ def solve_strip_equations(a, rhs_base, pair_i, pair_k, kmax_by_i, *,
     rhs_base = np.asarray(rhs_base, dtype=np.complex128)
     pair_i = np.asarray(pair_i, dtype=np.int64)
     pair_k = np.asarray(pair_k, dtype=np.int64)
-    if tol <= 0:
-        raise InvalidTol(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     a = int(a)
     k_sec = k_secondary(a, rhs_base.imag)
     kmax_arr = np.asarray(kmax_by_i, dtype=np.int64)
@@ -554,8 +561,7 @@ def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL
     exactly one must exist) are recorded in ``misses``.  A non-finite w
     raises ValueError.
     """
-    if tol <= 0:
-        raise InvalidTol(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if K < 1:
         raise ValueError("K must be >= 1")
     w = _as_c(w)
@@ -610,8 +616,7 @@ def inverse_branch(params: MapParams, w, branch_word, tol: float = defaults.TOL
     """
     if not len(branch_word):
         raise ValueError("branch_word must be nonempty")
-    if tol <= 0:
-        raise InvalidTol(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     v = canonical(_as_c(w))
     for depth, k in enumerate(branch_word):
         roots = _branch_roots_single(params, v, int(k), tol)
@@ -630,8 +635,7 @@ def fixed_points(params: MapParams, k_range, tol: float = defaults.TOL):
     the preimages, so each lift up to k_secondary is checked against its
     root count.  Missing indices beyond k_secondary are logged, not fatal.
     """
-    if tol <= 0:
-        raise InvalidTol(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     if isinstance(k_range, tuple) and len(k_range) == 2:
         ks_wanted = np.arange(k_range[0], k_range[1] + 1, dtype=np.int64)
     else:

@@ -26,9 +26,11 @@ Every branch solve goes through a ChildTable, which keeps one entry per
 solved target, its roots and |F'| from the widest solve so far, and serves
 every later call for that target whose truncation lies between the target's
 k_secondary and that width; a table belongs to one parameter and one
-tolerance.
+tolerance.  It also keeps each call's answer, which is the storage its
+entries read, and answers a call repeated byte for byte with it whole.
 bowen_dimension hands one table down to all of its trees, so the trees grown
-for different t share their nodes' branch equations; any other tree gets a
+for different t share their nodes' branch equations, and a tree of the same
+shape as an earlier one pays only for its weights; any other tree gets a
 table of its own, which still solves the base point's fixed-point preimage,
 found again at every level, only once.  The sup probe draws its solves from
 a table of its own.
@@ -251,11 +253,19 @@ class ChildTable:
     target's solve output (its roots in (real, imag) order and its missed k
     in ascending order) depends on the target's bits and kmax alone, whatever
     else its call solves, so the table keeps one entry per target: what its
-    readers need of the widest solve so far, as one target's slice of that
-    solve's compact columns (the lift index, the root, |F'| and the missed
-    k).  Lift indices are int16, which _grow guards by bounding K.  The
-    target is keyed by its raw bits, as +0.0 and -0.0 lie on opposite sides
-    of Log's branch cut.
+    readers need of the widest solve so far, as one target's slice of
+    compact columns (the lift index, the root, |F'| and the missed k).  Lift
+    indices are int16, which _grow guards by bounding K.  The target is
+    keyed by its raw bits, as +0.0 and -0.0 lie on opposite sides of Log's
+    branch cut.
+
+    So a request, keyed by its bytes (the targets' raw bits and kmax, in
+    order), has one answer, and the trees of one shape repeat their requests
+    at every level: the table keeps each answer and returns a repeat's
+    columns with no per-target work.  The answer is the storage: the entries
+    of its new and exactly served targets are slices of its columns, a
+    target served from a wider entry keeps that entry, and a solve's own
+    columns are freed once no entry reads them.
 
     An entry solved to kmax serves every request for kmax' with
     k_secondary(target) <= kmax' <= kmax: its roots and misses with
@@ -268,25 +278,34 @@ class ChildTable:
     Newton iterate stays clear of the strip's edges (near Im x = -+pi/2 for
     large |k|), so no root of theirs re-indexes into |k| <= kmax'.  A
     narrower kmax' is solved as asked, and a wider one is solved and
-    replaces the entry.  A solve stores nothing once the table holds
-    `limit` roots (the node budget of the tree being grown), so the table
-    exceeds it by at most one chunk's roots; lookups go on, and the output
-    bits do not depend on what is cached.
+    replaces the entry.  A solve stores nothing, neither entries nor its
+    answer, once the entries hold `limit` roots (the node budget of the tree
+    being grown), so they exceed it by at most one chunk's roots; lookups go
+    on, and the output bits do not depend on what is cached.
     """
 
     def __init__(self, params, tol):
         self.params, self.tol = params, tol
         self.entries = {}
+        self.answers = {}  # a request's bytes -> its answer, its rows' storage
         self.roots = 0
         self.pairs_requested = 0
         self.pairs_solved = 0
         self.served_wider = 0  # requests served from a wider entry
+        self.answered_whole = 0  # requests answered with a stored answer
 
     def solve(self, targets, kmax, limit):
         """preimage_arrays(params, targets, kmax, tol=tol), with k as int16
         and |F'| in place of F', solving only the targets the table cannot
-        serve.  The k, x and |F'| arrays may be read-only views."""
+        serve; kmax is an int64 array.  The k, x, |F'| and missed k arrays
+        are read-only, and a repeated request gets the stored ones."""
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
+        request = (bits.tobytes(), kmax.tobytes())
+        self.pairs_requested += int((2 * kmax + 1).sum())
+        answer = self.answers.get(request)
+        if answer is not None:
+            self.answered_whole += 1
+            return _with_parents(*answer)
         keys = list(map(tuple, bits.tolist()))
         kms = kmax.tolist()
         rows = [self.entries.get(key) for key in keys]
@@ -299,8 +318,8 @@ class ChildTable:
                     row = rows[j] = None
             if row is None:
                 todo.append(j)
-        self.pairs_requested += int((2 * kmax + 1).sum())
         self.served_wider += wider
+        store = self.roots < limit
         if todo:
             sub = np.array(todo)
             self.pairs_solved += int((2 * kmax[sub] + 1).sum())
@@ -316,15 +335,9 @@ class ChildTable:
             cut = np.searchsorted(si, np.arange(sub.size + 1)).tolist()
             mcut = np.searchsorted(smi, np.arange(sub.size + 1)).tolist()
             del si, sk, sd, smi, smk
-            store = self.roots < limit
             for r, (j, ks) in enumerate(zip(todo, k_sec.tolist())):
                 rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1],
                            kms[j], ks)
-                old = self.entries.get(keys[j])
-                if store and (old is None or old[5] < kms[j]):
-                    self.entries[keys[j]] = rows[j]
-                    self.roots += cut[r + 1] - cut[r] \
-                        - (0 if old is None else old[2] - old[1])
         # consecutive rows of one solve are read as one slice, and a chunk
         # read as one slice is not copied; a run holding rows served from a
         # wider entry keeps each row's roots and misses with |k| up to that
@@ -356,10 +369,31 @@ class ChildTable:
                 parts[c].append(cols[c][roots])
             parts[3].append(cols[3][misses])
         column = [p[0] if len(p) == 1 else np.concatenate(p) for p in parts]
-        index = np.arange(len(rows))
-        out = [np.repeat(index, counts[0]), *column[:3],
-               np.repeat(index, counts[1]), column[3].astype(np.int64)]
-        return tuple(out)
+        cols = (*column[:3], column[3].astype(np.int64))
+        for col in cols:
+            col.flags.writeable = False
+        if store:
+            # new and exactly served rows read the answer from now on
+            self.answers[request] = counts, cols
+            cut, mcut = (np.cumsum(np.concatenate(([0], n))).tolist()
+                         for n in counts)
+            for j, row in enumerate(rows):
+                old = self.entries.get(keys[j])
+                if kms[j] == row[5] and (old is row or old is None
+                                         or old[5] < kms[j]):
+                    self.entries[keys[j]] = (cols, cut[j], cut[j + 1],
+                                             mcut[j], mcut[j + 1], *row[5:])
+                    self.roots += cut[j + 1] - cut[j] \
+                        - (0 if old is None else old[2] - old[1])
+        return _with_parents(counts, cols)
+
+
+def _with_parents(counts, cols):
+    """A solve's output from its rows' root and miss counts and its (k, x,
+    |F'|, missed k) columns: each root and miss with its row's index."""
+    index = np.arange(counts[0].size)
+    return (np.repeat(index, counts[0]), *cols[:3],
+            np.repeat(index, counts[1]), cols[3])
 
 
 def _within(ks, kmax, counts):
@@ -471,6 +505,10 @@ def _pair_bounds(w, t, K, k_lo):
     u.sort()
     n, w_max = u.size, float(w.max())
 
+    @functools.cache
+    def total(i, m):  # most steps of a bisection ask for a range again
+        return float(u[i:m].sum())
+
     def bounds(p):
         if not (p > 0.0 and w_max / p < math.inf):
             return 0.0, math.inf
@@ -481,7 +519,7 @@ def _pair_bounds(w, t, K, k_lo):
 
         def pairs(i):  # nodes i.. kept
             m = max(i, j)
-            return (n - m) * (2 * K + 1) + 2.0 * float(u[i:m].sum()) / s + (m - i)
+            return (n - m) * (2 * K + 1) + 2.0 * total(i, m) / s + (m - i)
         return pairs(b) * (1.0 - _MARGIN), pairs(a) * (1.0 + _MARGIN)
     return bounds
 
@@ -547,8 +585,8 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError("K must be >= 1")
     if K > _K_LIMIT:
         raise ValueError(f"K must be <= {_K_LIMIT}, got {K}")
-    if prune < 0:
-        raise ValueError("prune must be >= 0")
+    if not 0 <= prune < math.inf:
+        raise ValueError(f"prune must be finite and >= 0, got {prune}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     own_table = children is None
@@ -583,6 +621,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         parent_cut = carry_cut + float(w[~keep].sum())
         kept_idx = np.flatnonzero(keep)  # parent pointers index the full level
         xk, wk, kk = x[keep], w[keep], kmax[keep]
+        del x, w, keep, kmax  # freed before the children are solved
         tail_cut = float((wk * tail_bound_value(kk, t)).sum())
 
         value = 0.0
@@ -592,7 +631,10 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         # a table of this tree's own is never read after its last level
         store = depth < n or keep_nodes
         limit = 0 if own_table and depth == n else lv.budget
-        outs = []
+        # the kept children's x and w, and under keep_nodes their parent, k
+        # and |F'|
+        outs = [(np.empty(0, complex), np.empty(0), np.empty(0, np.int64),
+                 np.empty(0, np.int64), np.empty(0))[:5 if keep_nodes else 2]]
         start = 0
         counts = 2 * kk + 1
         csum = np.cumsum(counts)
@@ -612,9 +654,10 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
             dust += float(cw[~keep_c].sum())
             n_children += int(keep_c.sum())
             if store:
-                outs.append((kept_idx[ci[keep_c] + sl.start],
-                             ck[keep_c].astype(np.int64, copy=False),
-                             cx[keep_c], cdabs[keep_c], cw[keep_c]))
+                outs.append((cx[keep_c], cw[keep_c]))
+                if keep_nodes:
+                    outs[-1] += (kept_idx[ci[keep_c] + sl.start],
+                                 ck[keep_c].astype(np.int64), cdabs[keep_c])
             start = sl.stop
         lv.values.append(value)
         lv.parent_cuts.append(parent_cut)
@@ -629,15 +672,10 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         lv.stored += n_children
         if not store:
             break
-        cx = np.concatenate([o[2] for o in outs]) if outs else np.empty(0, complex)
-        cw = np.concatenate([o[4] for o in outs]) if outs else np.empty(0)
+        x, w, *nodes = map(np.concatenate, zip(*outs))
         if keep_nodes:
-            lv.nodes.append(LevelNodes(
-                cx, np.concatenate([o[1] for o in outs]) if outs else np.empty(0, np.int64),
-                np.concatenate([o[0] for o in outs]) if outs else np.empty(0, np.int64),
-                np.concatenate([o[3] for o in outs]) if outs else np.empty(0),
-                cw))
-        x, w = cx, cw
+            parent, k, dabs = nodes
+            lv.nodes.append(LevelNodes(x, k, parent, dabs, w))
     return lv
 
 

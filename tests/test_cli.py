@@ -187,6 +187,13 @@ def test_numerical_failure_exit_code(tmp_path):
     ["classify", "--res", "4x4", "--max-iter", "0"],
     ["classify", "--res", "4x4", "--radius-eps", "0"],
     ["classify", "--res", "4x4", "--radius-eps", "-1"],
+    ["dim", "--accuracy", "nan"],
+    ["dim", "--accuracy", "inf"],
+    ["sweep", "--nx", "1", "--ny", "1", "--budget", "5000", "--accuracy", "nan"],
+    ["preimages", "--w", "1+1i", "--K", "20", "--tol", "nan"],
+    ["preimages", "--w", "1+1i", "--K", "20", "--tol", "inf"],
+    ["preimages", "--w", "1+1i", "--K", "20", "--tol", "1e300"],
+    ["pressure", "--prune", "nan"],
 ])
 def test_input_outside_the_domain_is_usage_error(tmp_path, argv, capsys):
     out = tmp_path / "out"

@@ -51,6 +51,14 @@ def test_pressure_slope_bounded_by_log_beta(params22, p_table):
     assert slope <= math.log(est.beta) < 0
 
 
+@pytest.mark.parametrize("accuracy", [math.nan, math.inf])
+def test_accuracy_must_be_finite(params22, accuracy):
+    with pytest.raises(ValueError, match="accuracy"):
+        bowen_dimension(params22, accuracy)
+    with pytest.raises(ValueError, match="accuracy"):
+        pressure(params22, 1.5, accuracy, max_attempts=1)
+
+
 def test_pressure_validates_inputs(params22):
     with pytest.raises(ValueError):
         pressure(params22, 0.9, 1e-2)

@@ -245,6 +245,20 @@ def test_invalid_tol(params22):
         preimages(params22, 1.0, 10, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 1e300, 0.32])
+def test_tol_needs_a_dedupe_radius_below_pi(params22, tol):
+    # NaN and huge tolerances are refused like non-positive ones; 0.32
+    # makes the dedupe radius DEDUP_FACTOR * tol reach pi
+    calls = (lambda: preimages(params22, 1.0 + 1.0j, 20, tol=tol),
+             lambda: fixed_points(params22, (-2, 2), tol=tol),
+             lambda: inverse_branch(params22, 1.0, [1], tol=tol),
+             lambda: preimage_arrays(params22, np.array([1.0 + 1.0j]), 5,
+                                     tol=tol))
+    for call in calls:
+        with pytest.raises(InvalidTol):
+            call()
+
+
 def test_inverse_branch_single_letter(params22):
     w = 0.4 + 0.3j
     ps = preimages(params22, w, 8)

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from oracles import (choose_threshold_reference, pair_count_reference,
                      preimage_oracle)
 
 transfer_mod = importlib.import_module("bowendim.transfer")
+dimension_mod = importlib.import_module("bowendim.dimension")
 
 
 @pytest.fixture(scope="module")
@@ -632,15 +634,131 @@ def test_child_table_bound_stops_inserts(solved_pairs):
         assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
 
 
+def _entry(table, z):
+    return table.entries[tuple(np.array([z]).view(np.uint64).tolist())]
+
+
+def test_repeated_request_is_answered_whole(solved_pairs):
+    # a request repeated byte for byte (targets' bits and kmax, in order)
+    # gets the stored read-only columns back, with the table-less bits, and
+    # solves nothing; a request that differs in one kmax is served per target
+    p = MapParams(2, 2.0)
+    table = ChildTable(p, 1e-11)
+    targets, kmax = [0.3 + 1.1j, -1.0 - 2.0j, 0.3 + 1.1j], [40, 60, 20]
+    solved_pairs.append(0)
+    first = _table_solve(table, targets, kmax)
+    for again in range(2):
+        solved_pairs.append(0)
+        got = _table_solve(table, targets, kmax)
+        _same_bits(got, _tableless(p, targets, kmax))
+        assert solved_pairs[-1] == 0 and table.answered_whole == again + 1
+        assert all(g is f for g, f in zip(got[1:4], first[1:4]))
+        assert not any(col.flags.writeable for col in got[1:4] + got[5:])
+    solved_pairs.append(0)
+    _same_bits(_table_solve(table, targets, [40, 60, 21]),
+               _tableless(p, targets, [40, 60, 21]))
+    assert solved_pairs[-1] == 0 and table.answered_whole == 2
+    assert len(table.answers) == 2
+
+
+def _held(table):
+    """What a table holds: its counts, and the identity of every column."""
+    cols = [e[0] for e in table.entries.values()]
+    cols += [c for counts, ans in table.answers.values() for c in (*counts, ans)]
+    return (table.roots, len(table.entries), len(table.answers),
+            {id(c) for c in cols})
+
+
+def test_second_tree_of_a_shape_adds_nothing(params22, base, solved_pairs):
+    # a tree that repeats an earlier tree's requests is answered whole at
+    # every level: no pair solved, no root stored, no column array made
+    table = ChildTable(params22, defaults.TOL)
+    solved_pairs.append(0)
+    first = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
+                  children=table)
+    held = _held(table)
+    assert table.answered_whole == 0 and held[2] == 3
+    solved_pairs.append(0)
+    again = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
+                  children=table)
+    solved_pairs.append(0)
+    ref = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
+                children=_Tableless(params22))
+    assert _tree_bits(again) == _tree_bits(first) == _tree_bits(ref)
+    assert solved_pairs[1] == 0 and table.answered_whole == 3
+    assert _held(table) == held
+
+
+def test_mixed_request_is_stored_once(monkeypatch, solved_pairs):
+    # a request of an exactly served, a wider-served and a new target: its
+    # answer is the storage of the exact and new targets' entries, the wider
+    # entry stays, the solve's chunk is freed, and a repeat is answered whole
+    p = MapParams(2, 2.0)
+    table = ChildTable(p, 1e-11)
+    exact, wider, new = 0.3 + 1.1j, -1.0 - 2.0j, 2.0 + 0.2j
+    solved_pairs.append(0)
+    _table_solve(table, [exact, wider], [40, 60])
+    kept = _entry(table, wider)
+    chunks = []
+    solve = transfer_mod.preimage_arrays
+
+    def watched(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        chunks.append(weakref.ref(out[2]))
+        return out
+
+    monkeypatch.setattr(transfer_mod, "preimage_arrays", watched)
+    targets, kmax = [exact, wider, new], [40, 45, 30]
+    roots = table.roots
+    solved_pairs.append(0)
+    got = _table_solve(table, targets, kmax)
+    _same_bits(got, _tableless(p, targets, kmax))
+    assert solved_pairs[-1] == 61 and table.served_wider == 1
+    assert len(chunks) == 1 and chunks[0]() is None
+    assert len(table.answers) == 2
+    counts, cols = list(table.answers.values())[-1]
+    assert cols[1] is got[2]
+    assert _entry(table, wider) is kept
+    for z in (exact, new):
+        assert _entry(table, z)[0] is cols
+    assert table.roots - roots == int(counts[0][2])
+    assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
+    solved_pairs.append(0)
+    again = _table_solve(table, targets, kmax)
+    _same_bits(again, got)
+    assert solved_pairs[-1] == 0 and table.answered_whole == 1
+
+
+def test_bowen_dimension_answers_repeated_levels_whole(monkeypatch):
+    # at (2, 2) every tree after the first of its shape repeats that tree's
+    # requests: 81 of the 90 are answered whole, and the pairs solved are
+    # those of the table that served each target separately
+    tables = []
+
+    class Recorded(ChildTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(dimension_mod, "ChildTable", Recorded)
+    bowen_dimension(MapParams(2, 2.0), 5e-3)
+    (table,) = tables
+    assert table.answered_whole == 81 and len(table.answers) == 9
+    assert table.pairs_solved == 587_339
+    assert (len(table.entries), table.roots) == (6_363, 563_001)
+
+
 def test_bowen_dimension_same_without_table(monkeypatch, caplog):
     p = MapParams(2, 2.0)
     with caplog.at_level(logging.DEBUG, logger="bowendim.dimension"):
         rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
-    # the debug line counts the requests served from a wider solve
+    # the debug line counts the requests served from a wider solve and
+    # those answered whole
     (line,) = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("bowen_dimension")]
-    served = re.search(r"pairs solved, (\d+) requests served from a wider", line)
-    assert served and int(served.group(1)) > 0
+    served = re.search(r"pairs solved, (\d+) requests served from a wider "
+                       r"solve, (\d+) answered whole", line)
+    assert served and int(served.group(1)) > 0 and int(served.group(2)) > 0
     grow = transfer_mod._grow
 
     def grow_without_table(params, *args, children=None, **kwargs):
@@ -687,6 +805,12 @@ def test_own_table_stores_no_last_level_solve(params22, base, monkeypatch):
     assert len(own.entries) == 1  # the base point, solved at level 1
     assert len(shared.entries) > 1
     assert repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("prune", [math.nan, math.inf])
+def test_prune_must_be_finite(params22, base, prune):
+    with pytest.raises(ValueError, match="prune"):
+        transfer_level_sums(params22, 1.5, base, 2, 64, prune)
 
 
 def test_table_of_another_parameter_is_rejected(params22, base):
