@@ -54,6 +54,22 @@ def parse_complex(text: str) -> complex:
     raise ValueError(f"cannot parse complex number {text!r} (expected a+bi)")
 
 
+def parse_int(text) -> int:
+    """An integer flag or config value; one outside int64 is a usage error."""
+    value = int(text)
+    if not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{text} lies outside the int64 range")
+    return value
+
+
+def parse_budget(text) -> int:
+    """A node budget: any finite number, rounded toward zero."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"budget must be finite, got {text}")
+    return int(value)
+
+
 def fmt(x: float) -> str:
     """Exact decimal serialisation: 17 significant digits round-trips doubles."""
     return format(float(x), ".17g")
@@ -99,9 +115,9 @@ class RunConfig:
 
 
 _CASTS = {
-    "ell": int, "c": parse_complex, "t": float, "K": int, "n": int,
-    "prune": float, "tol": float, "accuracy": float, "budget": lambda s: int(float(s)),
-    "threads": int, "out": str,
+    "ell": parse_int, "c": parse_complex, "t": float, "K": parse_int,
+    "n": parse_int, "prune": float, "tol": float, "accuracy": float,
+    "budget": parse_budget, "threads": parse_int, "out": str,
 }
 
 
@@ -112,12 +128,9 @@ def merge_config(args) -> RunConfig:
         if key not in _CASTS:
             raise ValueError(f"unknown config key {key!r}")
     for name, cast in _CASTS.items():
-        if name in file_vals:
-            setattr(cfg, name, cast(file_vals[name]))
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            setattr(cfg, name, cli_val if not isinstance(cli_val, str)
-                    else cast(cli_val))
+        for value in (file_vals.get(name), getattr(args, name, None)):
+            if value is not None:
+                setattr(cfg, name, cast(value))
     return cfg
 
 
@@ -226,7 +239,8 @@ def cmd_dim(args):
 def cmd_sweep(args):
     cfg = merge_config(args)
     spec = GridSpec(parse_complex(args.center) if args.center else cfg.c,
-                    args.half_re, args.half_im, args.nx, args.ny)
+                    args.half_re, args.half_im, parse_int(args.nx),
+                    parse_int(args.ny))
     grid = sweep_dimension(cfg.ell, spec, cfg.accuracy, threads=cfg.nthreads(),
                            budget=cfg.budget)
     rows = []
@@ -253,12 +267,12 @@ def cmd_classify(args):
     params = cfg.params()
     try:
         lo, hi = (float(p) for p in args.window.split(":"))
-        nx, ny = (int(p) for p in args.res.lower().split("x"))
+        nx, ny = (parse_int(p) for p in args.res.lower().split("x"))
     except ValueError:
         print(f"classify: bad --window/--res ({args.window!r}, {args.res!r})",
               file=sys.stderr)
         return 2
-    cells = classify_window(params, lo, hi, nx, ny, args.max_iter,
+    cells = classify_window(params, lo, hi, nx, ny, parse_int(args.max_iter),
                             args.radius_eps)
     out = cfg.out or "classify.pgm"
     render_grid(cells, out)
@@ -270,26 +284,27 @@ def cmd_classify(args):
 
 
 def cmd_continue_orbit(args):
-    if args.steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {args.steps}")
+    steps, k = parse_int(args.steps), parse_int(args.k)
+    if steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {steps}")
     cfg = merge_config(args)
     params = cfg.params()
     start = None
-    for p in fixed_points(params, (args.k, args.k), cfg.tol):
+    for p in fixed_points(params, (k, k), cfg.tol):
         if abs(p.multiplier) > 1.0:
             start = p
             break
     if start is None:
-        print(f"continue-orbit: no repelling fixed point for k={args.k}",
+        print(f"continue-orbit: no repelling fixed point for k={k}",
               file=sys.stderr)
         return 3
     c_end = parse_complex(args.c_end)
-    path = [params.c + (c_end - params.c) * (j + 1) / args.steps
-            for j in range(args.steps)]
+    out = cfg.out or "continue_orbit.csv"
+    path = [params.c + (c_end - params.c) * (j + 1) / steps
+            for j in range(steps)]
     try:
         track = continue_periodic(params, start, path, cfg.tol)
     except NumericsError as exc:
-        out = cfg.out or "continue_orbit.csv"
         write_json(out + ".partial.json", {"error": str(exc)})
         print(f"continue-orbit: FAILED ({exc})", file=sys.stderr)
         return 3
@@ -298,7 +313,6 @@ def cmd_continue_orbit(args):
         prm = MapParams(params.ell, c)
         resid = cylinder_distance(_orbit_end(prm, z.z, track.period), z.z)
         rows.append((c.real, c.imag, z.re, z.im, abs(mult), resid))
-    out = cfg.out or "continue_orbit.csv"
     write_csv(out, ["c_re", "c_im", "z_re", "z_im", "mult_abs", "residual"], rows)
     mults = [r[4] for r in rows]
     print(f"continue-orbit: {len(rows)} steps to c={c_end:.6g}, |mult| in "
@@ -310,15 +324,14 @@ def cmd_continue_orbit(args):
 def cmd_expansion(args):
     cfg = merge_config(args)
     params = cfg.params()
+    out = cfg.out or "expansion.json"
     try:
-        est = expansion_constants(params, args.c_radius, args.samples,
-                                  args.n_max, tol=cfg.tol)
+        est = expansion_constants(params, args.c_radius, parse_int(args.samples),
+                                  parse_int(args.n_max), tol=cfg.tol)
     except NumericsError as exc:
-        out = cfg.out or "expansion.json"
         write_json(out, {"error": str(exc)})
         print(f"expansion: FAILED ({exc})", file=sys.stderr)
         return 3
-    out = cfg.out or "expansion.json"
     write_json(out, {
         "L": est.L, "kappa": est.kappa, "beta": est.beta, "L_inv": est.L_inv,
         "samples": est.samples, "n_max": est.n_max,
@@ -339,12 +352,10 @@ def _add_common(sp, *knobs):
 
     A knob the subcommand cannot honour is not offered, so giving it on the
     command line is a usage error; config files may still set any knob.
+    Values stay text until the command casts them: a bad one is a usage error.
     """
-    sp.add_argument("--ell", type=int)
-    sp.add_argument("--c", type=str)
-    for name in knobs:
-        sp.add_argument("--" + name.replace("_", "-"), dest=name, type=_CASTS[name])
-    sp.add_argument("--out", type=str)
+    for name in ("ell", "c", *knobs, "out"):
+        sp.add_argument("--" + name.replace("_", "-"), dest=name)
     sp.add_argument("--config", type=str, help="flat key=value config file")
 
 
@@ -377,8 +388,8 @@ def build_parser():
     sp.add_argument("--center", type=str)
     sp.add_argument("--half-re", dest="half_re", type=float, default=0.25)
     sp.add_argument("--half-im", dest="half_im", type=float, default=0.25)
-    sp.add_argument("--nx", type=int, default=5)
-    sp.add_argument("--ny", type=int, default=5)
+    sp.add_argument("--nx", default=5)
+    sp.add_argument("--ny", default=5)
     sp.set_defaults(func=cmd_sweep)
 
     sp = command("classify", "orbit classification grid (PGM)")
@@ -386,8 +397,7 @@ def build_parser():
     sp.add_argument("--window", type=str, default="-6:6",
                     help="re_min:re_max (imaginary axis spans the strip)")
     sp.add_argument("--res", type=str, default="600x600", help="NXxNY")
-    sp.add_argument("--max-iter", dest="max_iter", type=int,
-                    default=defaults.MAX_ITER)
+    sp.add_argument("--max-iter", dest="max_iter", default=defaults.MAX_ITER)
     sp.add_argument("--radius-eps", dest="radius_eps", type=float,
                     default=defaults.RADIUS_EPS)
     sp.set_defaults(func=cmd_classify)
@@ -395,15 +405,15 @@ def build_parser():
     sp = command("continue-orbit", "continue a repelling fixed point in c (CSV)")
     _add_common(sp, "tol")
     sp.add_argument("--c-end", dest="c_end", type=str, required=True)
-    sp.add_argument("--steps", type=int, default=20)
-    sp.add_argument("--k", type=int, default=1, help="lift index of the start")
+    sp.add_argument("--steps", default=20)
+    sp.add_argument("--k", default=1, help="lift index of the start")
     sp.set_defaults(func=cmd_continue_orbit)
 
     sp = command("expansion", "uniform expansion constants (JSON)")
     _add_common(sp, "tol")
     sp.add_argument("--c-radius", dest="c_radius", type=float, default=0.1)
-    sp.add_argument("--samples", type=int, default=50)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=10)
+    sp.add_argument("--samples", default=50)
+    sp.add_argument("--n-max", dest="n_max", default=10)
     sp.set_defaults(func=cmd_expansion)
     return ap
 

@@ -484,6 +484,14 @@ def tail_bound_value(K, t):
     return 2.0 * defaults.C_GEO * TWO_PI ** (-t) * K ** (1.0 - t) / (t - 1.0)
 
 
+def check_t(t):
+    """TNotSummable for t <= 1, ValueError for a t that is not finite."""
+    if t <= 1.0:
+        raise TNotSummable(t)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+
+
 def tail_weight_bound(K: int, t: float, *,
                       k_min=defaults.K_MIN_FLOOR) -> TailBound:
     """Upper bound for sum_{|k|>K} |F'(x_k)|^(-t).
@@ -491,8 +499,7 @@ def tail_weight_bound(K: int, t: float, *,
     Uses |F'(x_k)| >= 2*pi*|k| / C_GEO for |k| >= k_min, which the
     enumeration validates at run time.  Finite only for t > 1.
     """
-    if t <= 1.0:
-        raise TNotSummable(t)
+    check_t(t)
     if K < k_min:
         raise ValueError(f"tail bound requires K >= {k_min}, got {K}")
     return TailBound(int(K), float(t), float(tail_bound_value(K, t)))

@@ -16,24 +16,24 @@ Following the boundedness of the normalised iterates, the supremum is
 modelled as M * alpha^(n-j) with alpha the measured level-sum ratio and M a
 runtime probe estimate; both are heuristic and reported as such.  M is the
 largest of about a thousand per-probe sums over |k| <= 256.  The probes and
-their branches |k| <= 32 are solved once per parameter.  Beyond 32, Im F'
-alone bounds every branch's |F'| from below, so per t two rounds find the
-maximum: the probe with the largest first-stage sum is solved to 256, then
-every probe whose bound reaches that sum; a probe solved to 256 is kept for
-every later t.
+their branches |k| <= k_first, twice the probes' band edge within [32, 256],
+are solved once per parameter.  Beyond k_first, Im F' alone bounds every
+branch's |F'| from below, so per t two rounds find the maximum: the probe
+with the largest first-stage sum is solved to 256, then every probe whose
+bound reaches that sum; a probe solved to 256 is kept for every later t.
 
-Every branch solve goes through a ChildTable, which keeps one entry per
-solved target, its roots and |F'| from the widest solve so far, and serves
-every later call for that target whose truncation lies between the target's
-k_secondary and that width; a table belongs to one parameter and one
-tolerance.  It also keeps each call's answer, which is the storage its
+Every tree's branch solves go through a ChildTable, which keeps one entry
+per solved target, its roots and |F'| from the widest solve so far, and
+serves every later call for that target whose truncation lies between the
+target's k_secondary and that width; a table belongs to one parameter and
+one tolerance.  It also keeps each call's answer, which is the storage its
 entries read, and answers a call repeated byte for byte with it whole.
 bowen_dimension hands one table down to all of its trees, so the trees grown
 for different t share their nodes' branch equations, and a tree of the same
 shape as an earlier one pays only for its weights; any other tree gets a
 table of its own, which still solves the base point's fixed-point preimage,
-found again at every level, only once.  The sup probe draws its solves from
-a table of its own.
+found again at every level, only once.  The sup probe keeps its probes
+solved to 256 in a table of its own.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 
 from . import defaults
 from .cylinder import TWO_PI, CylinderPoint, MapParams, canonical, cylinder_distance
-from .errors import NumericsError, TNotSummable
-from .preimages import (_dedupe_sorted, fixed_points, k_secondary,
+from .errors import NumericsError
+from .preimages import (_dedupe_sorted, check_t, fixed_points, k_secondary,
                         preimage_arrays, preimages, tail_bound_value,
                         tail_weight_bound)
 
@@ -57,7 +57,7 @@ log = logging.getLogger(__name__)
 
 _PAIR_CHUNK = 2_000_000
 _K_PROBE = 256  # branch truncation of the sup probe
-_K_FIRST = 32   # every probe is solved this far; only contenders to _K_PROBE
+_K_FIRST = 32   # the first stage's least width; only contenders go to _K_PROBE
 _K_LIMIT = int(np.iinfo(np.int16).max)  # ChildTable keeps lift indices as int16
 
 
@@ -120,14 +120,16 @@ def default_base_point(params: MapParams) -> complex:
 #     |F'| >= 2 pi |k| - max|Im rhs| - a pi - tol = L_k.
 # _LIFT_SLACK lowers L_k past the rounding of the residual gate, of the strip
 # edge and of L_k itself, each below 1e-11 while the terms stay under 1e4.
-# Beyond its k_secondary, the band edge, a target has one root per lift
-# (preimages._root_count), so a probe with k_secondary <= _K_FIRST and no
-# first-stage miss adds at most 2 sum L_k^-t (_K_FIRST < k <= _K_PROBE) to
-# its first-stage sum.  The pairs the full solve adds run only the
-# asymptotic seed of their own lift, so its roots at |k| <= _K_FIRST are the
-# first stage's, but for a root that a far pair finds shifted by a lift: a
-# copy within 2 tol / |F'| of the one it displaces, whose weight moves by a
-# relative 3 t tol / |F'| at most.
+# The first stage solves every probe to k_first = 2 k_edge, within
+# [_K_FIRST, _K_PROBE], where the band edge k_edge, the probes' largest
+# k_secondary, has 2 pi k_edge >= a pi + max|Im rhs|: so every L_k beyond
+# k_first is positive, and each of those lifts holds one root
+# (preimages._root_count).  A probe with no first-stage miss thus adds at
+# most 2 sum L_k^-t (k_first < k <= _K_PROBE) to its first-stage sum.  The
+# pairs the full solve adds run only the asymptotic seed of their own lift,
+# so its roots at |k| <= k_first are the first stage's, but for a root that
+# a far pair finds shifted by a lift: a copy within 2 tol / |F'| of the one
+# it displaces, whose weight moves by a relative 3 t tol / |F'| at most.
 # _SUP_SLACK (1 + t) covers that where |F'| >= 1 (tol = TOL = 1e-11), and
 # the rounding of the three sums (under 2^10 terms each, added in order:
 # 2.3e-13 each) and of the powers.
@@ -135,41 +137,54 @@ _LIFT_SLACK = 1e-9
 _SUP_SLACK = 1e-10
 
 
-def _lift_bounds(a, im_max, tol):
-    """L_k for _K_FIRST < k <= _K_PROBE: |F'| >= L_k at every validated root
+def _lift_bounds(a, im_max, tol, k_first):
+    """L_k for k_first < k <= _K_PROBE: |F'| >= L_k at every validated root
     of lift +-k of a target with |Im rhs| <= im_max."""
-    ks = np.arange(_K_FIRST + 1, _K_PROBE + 1)
+    ks = np.arange(k_first + 1, _K_PROBE + 1)
     return TWO_PI * ks - im_max - a * math.pi - tol - _LIFT_SLACK
 
 
 class _SupProbe:
-    """One parameter's sup probe: the first stage, and a table that keeps
-    every probe solved to _K_PROBE.
+    """The sup probe of one parameter: every probe solved for |k| <= k_first,
+    the first stage, and a table that keeps every probe solved to _K_PROBE.
 
-    unbounded marks the probes that the first stage does not bound: all of
-    them where some L_k <= 0, else those with a k_secondary beyond _K_FIRST
-    or a first-stage miss.  dabs and parent hold |F'| over the branches
-    |k| <= _K_FIRST of every other probe (and of those with a miss) and each
-    branch's probe index; lift holds L_k.
+    Probes are themselves Julia points: the base point (a repelling fixed
+    point) and its first two preimage generations (the Julia set is backward
+    invariant), so the estimate is not inflated by Fatou regions near the
+    critical value; there are about a thousand.  Nothing reads the build's
+    solves again, so they bypass the table.  dabs and parent hold |F'| over
+    the first stage's branches and each branch's probe index; lift holds L_k
+    beyond k_first, and unbounded marks the probes with a first-stage miss,
+    which the first stage does not bound.
     """
 
-    def __init__(self, table, probes, dabs, parent, lift, unbounded):
-        self.table = table
-        self.probes = probes
-        self.dabs, self.parent, self.lift = dabs, parent, lift
-        self.unbounded = unbounded
+    def __init__(self, params):
+        base = np.array([default_base_point(params)])
+        x1 = preimage_arrays(params, base, 24)[2]
+        x2 = preimage_arrays(params, x1, 8)[2]
+        self.probes = np.concatenate([base, x1, x2])
+        im_max = float(np.abs((self.probes - params.affine_term).imag).max())
+        k_edge = int(k_secondary(params.ell, im_max))
+        k_first = min(_K_PROBE, max(_K_FIRST, 2 * k_edge))
+        self.parent, _, _, der, missed, _ = preimage_arrays(
+            params, self.probes, k_first)
+        self.dabs = np.abs(der)
+        self.unbounded = np.bincount(missed, minlength=self.probes.size) > 0
+        self.lift = _lift_bounds(params.ell, im_max, defaults.TOL, k_first)
+        for col in (self.probes, self.dabs, self.parent, self.lift,
+                    self.unbounded):
+            col.flags.writeable = False
+        self.table = ChildTable(params, defaults.TOL)
         self._lock = threading.Lock()
 
     def bounds(self, t):
         """(first, bound): every probe's first-stage sum at t, and a bound on
         its sum to _K_PROBE (inf where the first stage bounds nothing)."""
-        n = self.probes.size
-        first = np.bincount(self.parent, weights=self.dabs ** (-t), minlength=n)
-        bound = np.full(n, math.inf)
-        ok = ~self.unbounded
-        if ok.any():
-            tail = 2.0 * float((self.lift ** (-t)).sum())
-            bound[ok] = (first[ok] + tail) * (1.0 + _SUP_SLACK * (1.0 + t))
+        first = np.bincount(self.parent, weights=self.dabs ** (-t),
+                            minlength=self.probes.size)
+        tail = 2.0 * float((self.lift ** (-t)).sum())
+        bound = np.where(self.unbounded, math.inf,
+                         (first + tail) * (1.0 + _SUP_SLACK * (1.0 + t)))
         return first, bound
 
     def sums(self, ids, t):
@@ -181,43 +196,8 @@ class _SupProbe:
         return np.bincount(parent, weights=dabs ** (-t), minlength=ids.size)
 
 
-@functools.lru_cache(maxsize=4)
-def _sup_l1_probe(params: MapParams):
-    """The sup probe of one parameter, built once: every probe that the
-    bounds can serve solved for |k| <= _K_FIRST (65 pairs each), as a
-    _SupProbe.
-
-    Probes are themselves Julia points: the base point (a repelling fixed
-    point) and its first two preimage generations (the Julia set is backward
-    invariant), so the estimate is not inflated by Fatou regions near the
-    critical value; there are about a thousand.  Every solve goes through
-    one ChildTable, which keeps only the probes that _sup_l1 solves to
-    _K_PROBE: nothing reads the solves made here again.
-    """
-    table = ChildTable(params, defaults.TOL)
-
-    def solve(targets, kmax):
-        return table.solve(targets, np.full(targets.size, kmax), 0)
-
-    base = np.array([default_base_point(params)])
-    x1 = solve(base, 24)[2]
-    x2 = solve(x1, 8)[2]
-    probes = np.concatenate([base, x1, x2])
-    rhs = probes - params.affine_term
-    lift = _lift_bounds(params.ell, float(np.abs(rhs.imag).max()), defaults.TOL)
-    unbounded = k_secondary(params.ell, rhs.imag) > _K_FIRST
-    if (lift <= 0).any():
-        unbounded[:] = True
-    # the first stage of a probe it cannot bound would only be thrown away
-    bounded = np.flatnonzero(~unbounded)
-    parent, dabs = np.empty(0, np.int64), np.empty(0)
-    if bounded.size:
-        parent, _, _, dabs, missed, _ = solve(probes[bounded], _K_FIRST)
-        parent = bounded[parent]
-        unbounded[bounded[missed]] = True
-    for col in (probes, dabs, parent, lift, unbounded):
-        col.flags.writeable = False
-    return _SupProbe(table, probes, dabs, parent, lift, unbounded)
+# each parameter's sup probe is built once, and kept for the last four
+_sup_l1_probe = functools.lru_cache(maxsize=4)(_SupProbe)
 
 
 def _sup_l1(params: MapParams, t: float) -> float:
@@ -225,14 +205,14 @@ def _sup_l1(params: MapParams, t: float) -> float:
     per-probe sum of |F'|^-t over |k| <= _K_PROBE, plus the k-tail bound.
 
     Two rounds find the maximum.  The first solves to _K_PROBE the probes
-    the first stage does not bound and the one with the largest first-stage
-    sum; b is the largest of their sums.  The second takes those probes
-    again (served from the table) and every probe whose bound (first-stage
-    sum plus 2 sum L_k^-t, widened by _SUP_SLACK) reaches b, which holds
-    every probe that may exceed b, so its largest sum is the maximum.  Each
-    exact sum adds its probe's branches in branch order, and a probe's roots
-    do not depend on the probes solved with it, so the result is the one
-    full solve's bit for bit.
+    with a first-stage miss and the one with the largest first-stage sum; b
+    is the largest of their sums.  The second takes those probes again
+    (served from the table) and every probe whose bound (first-stage sum
+    plus 2 sum L_k^-t, widened by _SUP_SLACK) reaches b, which holds every
+    probe that may exceed b, so its largest sum is the maximum.  Each exact
+    sum adds its probe's branches in branch order, and a probe's roots do
+    not depend on the probes solved with it, so the result is the one full
+    solve's bit for bit.
     """
     probe = _sup_l1_probe(params)
     first, bound = probe.bounds(t)
@@ -263,9 +243,9 @@ class ChildTable:
     order), has one answer, and the trees of one shape repeat their requests
     at every level: the table keeps each answer and returns a repeat's
     columns with no per-target work.  The answer is the storage: the entries
-    of its new and exactly served targets are slices of its columns, a
-    target served from a wider entry keeps that entry, and a solve's own
-    columns are freed once no entry reads them.
+    of the targets it solved are slices of its columns, a target it served
+    keeps its entry, and a solve's own columns are freed once no entry reads
+    them.
 
     An entry solved to kmax serves every request for kmax' with
     k_secondary(target) <= kmax' <= kmax: its roots and misses with
@@ -329,7 +309,7 @@ class ChildTable:
                                 (targets[sub] - self.params.affine_term).imag)
             # what the readers need, compact and read-only; a row is one
             # target's slice of it, (cols, lo, hi, mlo, mhi, kmax, k_sec)
-            cols = (sk.astype(np.int16), sx, np.abs(sd), smk.astype(np.int16))
+            cols = (sk.astype(np.int16), sx, np.abs(sd), smk)
             for col in cols:
                 col.flags.writeable = False
             cut = np.searchsorted(si, np.arange(sub.size + 1)).tolist()
@@ -368,21 +348,19 @@ class ChildTable:
             for c in range(3):
                 parts[c].append(cols[c][roots])
             parts[3].append(cols[3][misses])
-        column = [p[0] if len(p) == 1 else np.concatenate(p) for p in parts]
-        cols = (*column[:3], column[3].astype(np.int64))
+        cols = tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in parts)
         for col in cols:
             col.flags.writeable = False
         if store:
-            # new and exactly served rows read the answer from now on
+            # the targets this call solved read the answer from now on
             self.answers[request] = counts, cols
             cut, mcut = (np.cumsum(np.concatenate(([0], n))).tolist()
                          for n in counts)
-            for j, row in enumerate(rows):
+            for j in todo:
                 old = self.entries.get(keys[j])
-                if kms[j] == row[5] and (old is row or old is None
-                                         or old[5] < kms[j]):
+                if old is None or old[5] < kms[j]:
                     self.entries[keys[j]] = (cols, cut[j], cut[j + 1],
-                                             mcut[j], mcut[j + 1], *row[5:])
+                                             mcut[j], mcut[j + 1], *rows[j][5:])
                     self.roots += cut[j + 1] - cut[j] \
                         - (0 if old is None else old[2] - old[1])
         return _with_parents(counts, cols)
@@ -577,8 +555,7 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
 
 def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
           children=None):
-    if t <= 1.0:
-        raise TNotSummable(t)
+    check_t(t)
     if n < 1:
         raise ValueError("n must be >= 1")
     if K < 1:
@@ -695,8 +672,7 @@ def transfer_level_sums(params: MapParams, t: float, z, n: int,
 def apply_transfer(params: MapParams, t: float, g, z, K: int = defaults.K,
                    *, g_sup: float = 1.0) -> WeightedValue:
     """L_t g (z) truncated at branch index K; error = tail bound * sup|g|."""
-    if t <= 1.0:
-        raise TNotSummable(t)
+    check_t(t)
     ps = preimages(params, z, K)
     der = ps.derivs()
     pts = ps.points()
@@ -849,8 +825,7 @@ def zeta_pressure(params: MapParams, t: float, n: int, K: int) -> PressureEstima
     tail bound once per word position, scaled by the runtime operator-norm
     estimate; non-convergent words are dropped and logged.
     """
-    if t <= 1.0:
-        raise TNotSummable(t)
+    check_t(t)
     _, mult = periodic_points(params, n, K)
     if mult.size == 0:
         return PressureEstimate(t, math.nan, math.inf, n, K, 0.0)

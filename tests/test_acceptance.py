@@ -6,6 +6,7 @@ once per session and shared.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -275,9 +276,13 @@ def test_conformal_measure_defect(params22, base22, p_table):
 def test_cli_golden_files(tmp_path):
     t0 = time.time()
 
+    # the child imports bowendim from where this process does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
     def run(args, out):
         cmd = [sys.executable, "-m", "bowendim.cli"] + args + ["--out", str(out)]
-        res = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+        res = subprocess.run(cmd, capture_output=True, text=True, timeout=600,
+                             env=env)
         assert res.returncode == 0, res.stderr
         return out.read_bytes()
 

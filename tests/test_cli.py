@@ -194,13 +194,35 @@ def test_numerical_failure_exit_code(tmp_path):
     ["preimages", "--w", "1+1i", "--K", "20", "--tol", "inf"],
     ["preimages", "--w", "1+1i", "--K", "20", "--tol", "1e300"],
     ["pressure", "--prune", "nan"],
+    ["pressure", "--t", "inf"],
+    ["dim", "--budget", "inf"],
+    ["classify", "--res", "4x4", "--max-iter", "1" + "0" * 21],
+    ["continue-orbit", "--c-end", "2+0.1i", "--k", "1" + "0" * 20],
+    ["preimages", "--w", "1+1i", "--K", "1" + "0" * 20],
+    ["preimages", "--w", "1+1i", "--ell", "1" + "0" * 20, "--c", "1" + "0" * 20],
 ])
 def test_input_outside_the_domain_is_usage_error(tmp_path, argv, capsys):
+    # argv's own flags come last, so they override the defaults given here
     out = tmp_path / "out"
-    rc = main(argv + ["--ell", "2", "--c", "2+0i", "--out", str(out)])
+    rc = main(argv[:1] + ["--ell", "2", "--c", "2+0i", "--out", str(out)]
+              + argv[1:])
     assert rc == 2
     assert not out.exists()
-    assert capsys.readouterr().err.startswith(argv[0] + ": ")
+    err = capsys.readouterr().err
+    assert err.startswith(argv[0] + ": ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["ell", "K", "n", "threads"])
+def test_integer_config_key_outside_int64_is_usage_error(tmp_path, key, capsys):
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"{key} = {2 ** 63}\n")
+    out = tmp_path / "p.json"
+    rc = main(["pressure", "--ell", "2", "--c", "2+0i", "--config", str(cfg),
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"pressure: {2 ** 63} lies outside the int64 range\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--nx", "0"), ("--ny", "0"),

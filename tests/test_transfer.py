@@ -15,7 +15,8 @@ from bowendim import (MapParams, apply_transfer, bowen_dimension,
                       periodic_points, pressure_ratio, transfer_level_sums,
                       zeta_pressure)
 from bowendim.errors import TNotSummable
-from bowendim.preimages import k_secondary, preimage_arrays, tail_bound_value
+from bowendim.preimages import (k_secondary, preimage_arrays, tail_bound_value,
+                                tail_weight_bound)
 from bowendim.transfer import (ChildTable, LevelNodes, _grow, _Levels,
                                _shadow_cycles, _sup_l1, _sup_l1_probe,
                                default_base_point)
@@ -55,6 +56,23 @@ def test_apply_linearity(params22, base):
 def test_apply_requires_summable_t(params22, base):
     with pytest.raises(TNotSummable):
         apply_transfer(params22, 0.9, lambda z: 1.0, base, K=20)
+
+
+_T_ENTRY_POINTS = {
+    "transfer_level_sums": lambda p, b, t: transfer_level_sums(p, t, b, 2, 32, 0.0),
+    "apply_transfer": lambda p, b, t: apply_transfer(p, t, lambda z: 1.0, b, K=20),
+    "zeta_pressure": lambda p, b, t: zeta_pressure(p, t, 1, 10),
+    "tail_weight_bound": lambda p, b, t: tail_weight_bound(20, t),
+    "pressure": lambda p, b, t: dimension_mod.pressure(p, t, 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_T_ENTRY_POINTS))
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_non_finite_t_is_rejected(params22, base, entry, t):
+    # t <= 1 keeps its own error (TNotSummable, or ValueError from pressure)
+    with pytest.raises(ValueError, match="finite"):
+        _T_ENTRY_POINTS[entry](params22, base, t)
 
 
 def test_transfer_decay_in_re(params22):
@@ -292,30 +310,13 @@ def test_lift_bound_soundness():
             far = np.abs(k) > ks_first
             assert far.sum() == 2 * (ks_probe - ks_first) * targets.size
             lift = transfer_mod._lift_bounds(
-                ell, float(np.abs(rhs.imag).max()), defaults.TOL)
+                ell, float(np.abs(rhs.imag).max()), defaults.TOL, ks_first)
             assert lift.size == ks_probe - ks_first and lift.min() > 0
             ratio = np.abs(der[far]) / lift[np.abs(k[far]) - ks_first - 1]
             assert ratio.min() >= 1.0
             if ell <= 6:
                 worst = min(worst, float(ratio.min()))
     assert worst < 1.05  # the bound is within 5% of some |F'|
-
-
-def test_band_edge_mask_decides_where_lift_bounds_hold():
-    # at (64, 64) every L_k is positive, but every probe's band edge lies
-    # beyond 32, where lift 33 may hold two roots: the band-edge rule alone
-    # sends every probe to the full solve.  At (66, 66) L_33 <= 0 does.
-    ks_first = transfer_mod._K_FIRST
-    _sup_l1_probe.cache_clear()
-    try:
-        p = MapParams(64, 64.0)
-        probe = _sup_l1_probe(p)
-        assert probe.lift.min() > 0 and probe.unbounded.all()
-        assert k_secondary(64, (probe.probes - p.affine_term).imag).min() > ks_first
-        probe = _sup_l1_probe(MapParams(66, 66.0))
-        assert probe.lift[0] <= 0 and probe.unbounded.all()
-    finally:
-        _sup_l1_probe.cache_clear()
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
@@ -368,20 +369,27 @@ def test_weakest_probe_misleads_first_stage(monkeypatch, mode):
         _sup_l1_probe.cache_clear()
 
 
-@pytest.mark.parametrize("ell", [16, 20])
-def test_sup_probe_solves_few_probes_in_full_at_large_ell(ell):
-    # L_k from Im F' alone stays positive and tight at ell 16 and 20, so the
-    # two rounds of _sup_l1 solve a handful of the thousands of probes to 256,
-    # and still return the bits of one full solve of every probe
+@pytest.mark.parametrize("ell, c", [(16, 16), (16, 16 + 0.5j), (20, 20),
+                                    (20, 20 + 0.5j), (48, 48 + 0.3j), (64, 64),
+                                    (66, 66), (300, 300.5)])
+def test_sup_probe_solves_few_probes_in_full_at_large_ell(ell, c):
+    # the first stage reaches twice the probes' band edge (32 at ell 16 and
+    # 20, 50 to 68 at ell 48 to 66, and all of 256 at ell 300), so every L_k
+    # beyond it is positive and every probe is bounded; the two rounds of
+    # _sup_l1 solve a handful of the thousands of probes to 256, and still
+    # return the bits of one full solve of every probe.  Near t = 1 the tail
+    # bound 2 sum L_k^-t loosens, and t = 1.01 adds up to 8 more (at (64, 64)).
     _sup_l1_probe.cache_clear()
     try:
-        for c in (ell, ell + 0.5j):
-            p = MapParams(ell, c)
-            values = _sup_reference(p, _SUP_TS)[0]
-            assert [_sup_l1(p, t) for t in _SUP_TS] == values
-            probe = _sup_l1_probe(p)
-            assert probe.probes.size > 2000 and not probe.unbounded.any()
-            assert 0 < len(probe.table.entries) <= 8
+        p = MapParams(ell, c)
+        values = _sup_reference(p, _SUP_TS)[0]
+        assert _SUP_TS[0] == 1.01
+        assert [_sup_l1(p, t) for t in _SUP_TS[1:]] == values[1:]
+        probe = _sup_l1_probe(p)
+        assert probe.probes.size > 2000 and not probe.unbounded.any()
+        assert 0 < len(probe.table.entries) <= 8
+        assert _sup_l1(p, _SUP_TS[0]) == values[0]
+        assert len(probe.table.entries) <= 16
     finally:
         _sup_l1_probe.cache_clear()
 
@@ -691,14 +699,14 @@ def test_second_tree_of_a_shape_adds_nothing(params22, base, solved_pairs):
 
 def test_mixed_request_is_stored_once(monkeypatch, solved_pairs):
     # a request of an exactly served, a wider-served and a new target: its
-    # answer is the storage of the exact and new targets' entries, the wider
-    # entry stays, the solve's chunk is freed, and a repeat is answered whole
+    # answer is the storage of the new target's entry, the served entries
+    # stay, the solve's chunk is freed, and a repeat is answered whole
     p = MapParams(2, 2.0)
     table = ChildTable(p, 1e-11)
     exact, wider, new = 0.3 + 1.1j, -1.0 - 2.0j, 2.0 + 0.2j
     solved_pairs.append(0)
     _table_solve(table, [exact, wider], [40, 60])
-    kept = _entry(table, wider)
+    kept = [_entry(table, z) for z in (exact, wider)]
     chunks = []
     solve = transfer_mod.preimage_arrays
 
@@ -718,9 +726,8 @@ def test_mixed_request_is_stored_once(monkeypatch, solved_pairs):
     assert len(table.answers) == 2
     counts, cols = list(table.answers.values())[-1]
     assert cols[1] is got[2]
-    assert _entry(table, wider) is kept
-    for z in (exact, new):
-        assert _entry(table, z)[0] is cols
+    assert all(_entry(table, z) is e for z, e in zip((exact, wider), kept))
+    assert _entry(table, new)[0] is cols
     assert table.roots - roots == int(counts[0][2])
     assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
     solved_pairs.append(0)
