@@ -62,12 +62,12 @@ def parse_int(text) -> int:
     return value
 
 
-def parse_budget(text) -> int:
-    """A node budget: any finite number, rounded toward zero."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"budget must be finite, got {text}")
-    return int(value)
+def _cast(name, cast, text):
+    """cast(text); a value it rejects is a usage error that names it."""
+    try:
+        return cast(text)
+    except (ValueError, OverflowError) as exc:  # int(inf) overflows
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def fmt(x: float) -> str:
@@ -117,7 +117,7 @@ class RunConfig:
 _CASTS = {
     "ell": parse_int, "c": parse_complex, "t": float, "K": parse_int,
     "n": parse_int, "prune": float, "tol": float, "accuracy": float,
-    "budget": parse_budget, "threads": parse_int, "out": str,
+    "budget": lambda s: int(float(s)), "threads": parse_int, "out": str,
 }
 
 
@@ -130,7 +130,7 @@ def merge_config(args) -> RunConfig:
     for name, cast in _CASTS.items():
         for value in (file_vals.get(name), getattr(args, name, None)):
             if value is not None:
-                setattr(cfg, name, cast(value))
+                setattr(cfg, name, _cast(name, cast, value))
     return cfg
 
 
@@ -239,8 +239,7 @@ def cmd_dim(args):
 def cmd_sweep(args):
     cfg = merge_config(args)
     spec = GridSpec(parse_complex(args.center) if args.center else cfg.c,
-                    args.half_re, args.half_im, parse_int(args.nx),
-                    parse_int(args.ny))
+                    args.half_re, args.half_im, args.nx, args.ny)
     grid = sweep_dimension(cfg.ell, spec, cfg.accuracy, threads=cfg.nthreads(),
                            budget=cfg.budget)
     rows = []
@@ -272,7 +271,7 @@ def cmd_classify(args):
         print(f"classify: bad --window/--res ({args.window!r}, {args.res!r})",
               file=sys.stderr)
         return 2
-    cells = classify_window(params, lo, hi, nx, ny, parse_int(args.max_iter),
+    cells = classify_window(params, lo, hi, nx, ny, args.max_iter,
                             args.radius_eps)
     out = cfg.out or "classify.pgm"
     render_grid(cells, out)
@@ -284,24 +283,23 @@ def cmd_classify(args):
 
 
 def cmd_continue_orbit(args):
-    steps, k = parse_int(args.steps), parse_int(args.k)
-    if steps < 1:
-        raise ValueError(f"--steps must be >= 1, got {steps}")
+    if args.steps < 1:
+        raise ValueError(f"--steps must be >= 1, got {args.steps}")
     cfg = merge_config(args)
     params = cfg.params()
     start = None
-    for p in fixed_points(params, (k, k), cfg.tol):
+    for p in fixed_points(params, (args.k, args.k), cfg.tol):
         if abs(p.multiplier) > 1.0:
             start = p
             break
     if start is None:
-        print(f"continue-orbit: no repelling fixed point for k={k}",
+        print(f"continue-orbit: no repelling fixed point for k={args.k}",
               file=sys.stderr)
         return 3
     c_end = parse_complex(args.c_end)
     out = cfg.out or "continue_orbit.csv"
-    path = [params.c + (c_end - params.c) * (j + 1) / steps
-            for j in range(steps)]
+    path = [params.c + (c_end - params.c) * (j + 1) / args.steps
+            for j in range(args.steps)]
     try:
         track = continue_periodic(params, start, path, cfg.tol)
     except NumericsError as exc:
@@ -326,8 +324,8 @@ def cmd_expansion(args):
     params = cfg.params()
     out = cfg.out or "expansion.json"
     try:
-        est = expansion_constants(params, args.c_radius, parse_int(args.samples),
-                                  parse_int(args.n_max), tol=cfg.tol)
+        est = expansion_constants(params, args.c_radius, args.samples,
+                                  args.n_max, tol=cfg.tol)
     except NumericsError as exc:
         write_json(out, {"error": str(exc)})
         print(f"expansion: FAILED ({exc})", file=sys.stderr)
@@ -418,6 +416,7 @@ def build_parser():
     return ap
 
 
+_INT_FLAGS = ("nx", "ny", "max_iter", "steps", "k", "samples", "n_max")
 _VALUE_FLAGS = {"--window", "--w", "--c", "--c-end", "--center"}
 
 
@@ -442,6 +441,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(_merge_dashed_values(argv))
     try:
+        for dest in _INT_FLAGS:
+            if hasattr(args, dest):
+                setattr(args, dest, _cast(dest.replace("_", "-"), parse_int,
+                                          getattr(args, dest)))
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

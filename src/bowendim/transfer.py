@@ -120,16 +120,18 @@ def default_base_point(params: MapParams) -> complex:
 #     |F'| >= 2 pi |k| - max|Im rhs| - a pi - tol = L_k.
 # _LIFT_SLACK lowers L_k past the rounding of the residual gate, of the strip
 # edge and of L_k itself, each below 1e-11 while the terms stay under 1e4.
-# The first stage solves every probe to k_first = 2 k_edge, within
-# [_K_FIRST, _K_PROBE], where the band edge k_edge, the probes' largest
-# k_secondary, has 2 pi k_edge >= a pi + max|Im rhs|: so every L_k beyond
-# k_first is positive, and each of those lifts holds one root
-# (preimages._root_count).  A probe with no first-stage miss thus adds at
-# most 2 sum L_k^-t (k_first < k <= _K_PROBE) to its first-stage sum.  The
-# pairs the full solve adds run only the asymptotic seed of their own lift,
-# so its roots at |k| <= k_first are the first stage's, but for a root that
-# a far pair finds shifted by a lift: a copy within 2 tol / |F'| of the one
-# it displaces, whose weight moves by a relative 3 t tol / |F'| at most.
+# The band edge k_edge, the probes' largest k_secondary, has
+# 2 pi k_edge >= a pi + max|Im rhs|, so beyond any k_first >= k_edge every
+# L_k is positive and each lift holds one root (preimages._root_count): a
+# probe with no first-stage miss adds at most 2 sum L_k^-t (k_first < k <=
+# _K_PROBE) to its first-stage sum.  The first stage takes k_first = 2 k_edge
+# within [_K_FIRST, _K_PROBE], a chosen factor that keeps every L_k above
+# a pi and so the bound tight (at (64, 64) it solves 4 probes in full over
+# seven t, and k_first = k_edge 3,401).  The pairs the full solve adds run
+# only the asymptotic seed of their own lift, so its roots at |k| <= k_first
+# are the first stage's, but for a root that a far pair finds shifted by a
+# lift: a copy within 2 tol / |F'| of the one it displaces, whose weight
+# moves by a relative 3 t tol / |F'| at most.
 # _SUP_SLACK (1 + t) covers that where |F'| >= 1 (tol = TOL = 1e-11), and
 # the rounding of the three sums (under 2^10 terms each, added in order:
 # 2.3e-13 each) and of the powers.
@@ -151,11 +153,12 @@ class _SupProbe:
     Probes are themselves Julia points: the base point (a repelling fixed
     point) and its first two preimage generations (the Julia set is backward
     invariant), so the estimate is not inflated by Fatou regions near the
-    critical value; there are about a thousand.  Nothing reads the build's
-    solves again, so they bypass the table.  dabs and parent hold |F'| over
-    the first stage's branches and each branch's probe index; lift holds L_k
-    beyond k_first, and unbounded marks the probes with a first-stage miss,
-    which the first stage does not bound.
+    critical value; there are about a thousand.  k_first is twice their
+    band edge, which keeps the bound tight (see L_k).  Nothing reads the
+    build's solves again, so they bypass the table.  dabs and parent hold
+    |F'| over the first stage's branches and each branch's probe index; lift
+    holds L_k beyond k_first, and unbounded marks the probes with a
+    first-stage miss, which the first stage does not bound.
     """
 
     def __init__(self, params):

@@ -177,39 +177,47 @@ def test_numerical_failure_exit_code(tmp_path):
     assert rc == 3
 
 
-@pytest.mark.parametrize("argv", [
-    ["pressure", "--budget", "0"],
-    ["pressure", "--t", "1.0"],
-    ["pressure", "--t", "0.5"],
-    ["dim", "--budget", "0"],
-    ["sweep", "--threads", "-3", "--nx", "1", "--ny", "1", "--budget", "5000",
-     "--accuracy", "0.5"],
-    ["classify", "--res", "4x4", "--max-iter", "0"],
-    ["classify", "--res", "4x4", "--radius-eps", "0"],
-    ["classify", "--res", "4x4", "--radius-eps", "-1"],
-    ["dim", "--accuracy", "nan"],
-    ["dim", "--accuracy", "inf"],
-    ["sweep", "--nx", "1", "--ny", "1", "--budget", "5000", "--accuracy", "nan"],
-    ["preimages", "--w", "1+1i", "--K", "20", "--tol", "nan"],
-    ["preimages", "--w", "1+1i", "--K", "20", "--tol", "inf"],
-    ["preimages", "--w", "1+1i", "--K", "20", "--tol", "1e300"],
-    ["pressure", "--prune", "nan"],
-    ["pressure", "--t", "inf"],
-    ["dim", "--budget", "inf"],
-    ["classify", "--res", "4x4", "--max-iter", "1" + "0" * 21],
-    ["continue-orbit", "--c-end", "2+0.1i", "--k", "1" + "0" * 20],
-    ["preimages", "--w", "1+1i", "--K", "1" + "0" * 20],
-    ["preimages", "--w", "1+1i", "--ell", "1" + "0" * 20, "--c", "1" + "0" * 20],
+@pytest.mark.parametrize("name, argv", [
+    ("budget", ["pressure", "--budget", "0"]),
+    ("t", ["pressure", "--t", "1.0"]),
+    ("t", ["pressure", "--t", "0.5"]),
+    ("budget", ["dim", "--budget", "0"]),
+    ("threads", ["sweep", "--threads", "-3", "--nx", "1", "--ny", "1",
+                 "--budget", "5000", "--accuracy", "0.5"]),
+    ("max_iter", ["classify", "--res", "4x4", "--max-iter", "0"]),
+    ("radius_eps", ["classify", "--res", "4x4", "--radius-eps", "0"]),
+    ("radius_eps", ["classify", "--res", "4x4", "--radius-eps", "-1"]),
+    ("accuracy", ["dim", "--accuracy", "nan"]),
+    ("accuracy", ["dim", "--accuracy", "inf"]),
+    ("accuracy", ["sweep", "--nx", "1", "--ny", "1", "--budget", "5000",
+                  "--accuracy", "nan"]),
+    ("tol", ["preimages", "--w", "1+1i", "--K", "20", "--tol", "nan"]),
+    ("tol", ["preimages", "--w", "1+1i", "--K", "20", "--tol", "inf"]),
+    ("tol", ["preimages", "--w", "1+1i", "--K", "20", "--tol", "1e300"]),
+    ("prune", ["pressure", "--prune", "nan"]),
+    ("t", ["pressure", "--t", "inf"]),
+    ("t: ", ["pressure", "--t", "x"]),
+    ("budget: ", ["dim", "--budget", "inf"]),
+    ("max-iter: ", ["classify", "--res", "4x4", "--max-iter", "1" + "0" * 21]),
+    ("k: ", ["continue-orbit", "--c-end", "2+0.1i", "--k", "1" + "0" * 20]),
+    ("K: ", ["preimages", "--w", "1+1i", "--K", "1" + "0" * 20]),
+    ("K: ", ["preimages", "--w", "1+1i", "--K", "abc"]),
+    ("ell: ", ["preimages", "--w", "1+1i", "--ell", "2.5"]),
+    ("ell: ", ["preimages", "--w", "1+1i", "--ell", "1" + "0" * 20,
+               "--c", "1" + "0" * 20]),
+    ("nx: ", ["sweep", "--nx", "1" + "0" * 20]),
+    ("samples: ", ["expansion", "--samples", "many"]),
 ])
-def test_input_outside_the_domain_is_usage_error(tmp_path, argv, capsys):
-    # argv's own flags come last, so they override the defaults given here
+def test_input_outside_the_domain_is_usage_error(tmp_path, name, argv, capsys):
+    # argv's own flags come last, so they override the defaults given here;
+    # the one stderr line names the flag
     out = tmp_path / "out"
     rc = main(argv[:1] + ["--ell", "2", "--c", "2+0i", "--out", str(out)]
               + argv[1:])
     assert rc == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err.startswith(argv[0] + ": ") and err.count("\n") == 1
+    assert err.startswith(f"{argv[0]}: {name}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("key", ["ell", "K", "n", "threads"])
@@ -222,7 +230,7 @@ def test_integer_config_key_outside_int64_is_usage_error(tmp_path, key, capsys):
     assert rc == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert err == f"pressure: {2 ** 63} lies outside the int64 range\n"
+    assert err == f"pressure: {key}: {2 ** 63} lies outside the int64 range\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--nx", "0"), ("--ny", "0"),
