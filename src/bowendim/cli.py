@@ -62,6 +62,14 @@ def parse_int(text) -> int:
     return value
 
 
+def _pair(text, sep, cast):
+    """'a<sep>b' as (cast(a), cast(b))."""
+    parts = text.split(sep)
+    if len(parts) != 2:
+        raise ValueError(f"expected two values split by {sep!r}, got {text!r}")
+    return cast(parts[0]), cast(parts[1])
+
+
 def _cast(name, cast, text):
     """cast(text); a value it rejects is a usage error that names it."""
     try:
@@ -174,7 +182,7 @@ def render_grid(cells, path):
 def cmd_preimages(args):
     cfg = merge_config(args)
     params = cfg.params()
-    w = canonical(parse_complex(args.w) if isinstance(args.w, str) else args.w)
+    w = canonical(args.w)
     ps = preimages(params, w, cfg.K, cfg.tol)
     rows = []
     for b in ps.branches:
@@ -238,7 +246,7 @@ def cmd_dim(args):
 
 def cmd_sweep(args):
     cfg = merge_config(args)
-    spec = GridSpec(parse_complex(args.center) if args.center else cfg.c,
+    spec = GridSpec(cfg.c if args.center is None else args.center,
                     args.half_re, args.half_im, args.nx, args.ny)
     grid = sweep_dimension(cfg.ell, spec, cfg.accuracy, threads=cfg.nthreads(),
                            budget=cfg.budget)
@@ -264,13 +272,7 @@ def cmd_sweep(args):
 def cmd_classify(args):
     cfg = merge_config(args)
     params = cfg.params()
-    try:
-        lo, hi = (float(p) for p in args.window.split(":"))
-        nx, ny = (parse_int(p) for p in args.res.lower().split("x"))
-    except ValueError:
-        print(f"classify: bad --window/--res ({args.window!r}, {args.res!r})",
-              file=sys.stderr)
-        return 2
+    (lo, hi), (nx, ny) = args.window, args.res
     cells = classify_window(params, lo, hi, nx, ny, args.max_iter,
                             args.radius_eps)
     out = cfg.out or "classify.pgm"
@@ -296,7 +298,7 @@ def cmd_continue_orbit(args):
         print(f"continue-orbit: no repelling fixed point for k={args.k}",
               file=sys.stderr)
         return 3
-    c_end = parse_complex(args.c_end)
+    c_end = args.c_end
     out = cfg.out or "continue_orbit.csv"
     path = [params.c + (c_end - params.c) * (j + 1) / args.steps
             for j in range(args.steps)]
@@ -384,8 +386,8 @@ def build_parser():
     sp = command("sweep", "dimension sweep over a c-grid (CSV)")
     _add_common(sp, "accuracy", "budget", "threads")
     sp.add_argument("--center", type=str)
-    sp.add_argument("--half-re", dest="half_re", type=float, default=0.25)
-    sp.add_argument("--half-im", dest="half_im", type=float, default=0.25)
+    sp.add_argument("--half-re", dest="half_re", default=0.25)
+    sp.add_argument("--half-im", dest="half_im", default=0.25)
     sp.add_argument("--nx", default=5)
     sp.add_argument("--ny", default=5)
     sp.set_defaults(func=cmd_sweep)
@@ -396,7 +398,7 @@ def build_parser():
                     help="re_min:re_max (imaginary axis spans the strip)")
     sp.add_argument("--res", type=str, default="600x600", help="NXxNY")
     sp.add_argument("--max-iter", dest="max_iter", default=defaults.MAX_ITER)
-    sp.add_argument("--radius-eps", dest="radius_eps", type=float,
+    sp.add_argument("--radius-eps", dest="radius_eps",
                     default=defaults.RADIUS_EPS)
     sp.set_defaults(func=cmd_classify)
 
@@ -409,14 +411,22 @@ def build_parser():
 
     sp = command("expansion", "uniform expansion constants (JSON)")
     _add_common(sp, "tol")
-    sp.add_argument("--c-radius", dest="c_radius", type=float, default=0.1)
+    sp.add_argument("--c-radius", dest="c_radius", default=0.1)
     sp.add_argument("--samples", default=50)
     sp.add_argument("--n-max", dest="n_max", default=10)
     sp.set_defaults(func=cmd_expansion)
     return ap
 
 
-_INT_FLAGS = ("nx", "ny", "max_iter", "steps", "k", "samples", "n_max")
+# the subcommands' own flags, cast in main; the knobs go through _CASTS
+_FLAG_CASTS = {
+    **dict.fromkeys(("nx", "ny", "max_iter", "steps", "k", "samples", "n_max"),
+                    parse_int),
+    **dict.fromkeys(("half_re", "half_im", "radius_eps", "c_radius"), float),
+    **dict.fromkeys(("w", "center", "c_end"), parse_complex),
+    "window": lambda s: _pair(s, ":", float),
+    "res": lambda s: _pair(s.lower(), "x", parse_int),
+}
 _VALUE_FLAGS = {"--window", "--w", "--c", "--c-end", "--center"}
 
 
@@ -441,9 +451,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = ap.parse_args(_merge_dashed_values(argv))
     try:
-        for dest in _INT_FLAGS:
-            if hasattr(args, dest):
-                setattr(args, dest, _cast(dest.replace("_", "-"), parse_int,
+        for dest, cast in _FLAG_CASTS.items():
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, _cast(dest.replace("_", "-"), cast,
                                           getattr(args, dest)))
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -557,6 +557,11 @@ class PreimageSet:
         return self._derivs.copy()
 
 
+# the largest K of the library: a tree's ChildTable keeps lift indices as
+# int16, and preimages() takes the same bound
+_K_LIMIT = int(np.iinfo(np.int16).max)
+
+
 def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL
               ) -> PreimageSet:
     """Enumerate F^{-1}(w) on the cylinder for lift indices |k| <= K.
@@ -565,12 +570,14 @@ def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL
     |k|, then by real part, imaginary part and k.  Each lift up to
     k_secondary is checked against its root count, and a lift short of it
     runs the robust seeds.  Missing asymptotic branches (no root found where
-    exactly one must exist) are recorded in ``misses``.  A non-finite w
-    raises ValueError.
+    exactly one must exist) are recorded in ``misses``.  A non-finite w, or
+    K outside 1.._K_LIMIT, raises ValueError.
     """
     _check_tol(tol)
     if K < 1:
         raise ValueError("K must be >= 1")
+    if K > _K_LIMIT:
+        raise ValueError(f"K must be <= {_K_LIMIT}, got {K}")
     w = _as_c(w)
     if not cmath.isfinite(w):
         raise ValueError(f"target w must be finite, got {w!r}")

@@ -49,16 +49,15 @@ import numpy as np
 from . import defaults
 from .cylinder import TWO_PI, CylinderPoint, MapParams, canonical, cylinder_distance
 from .errors import NumericsError
-from .preimages import (_dedupe_sorted, check_t, fixed_points, k_secondary,
-                        preimage_arrays, preimages, tail_bound_value,
-                        tail_weight_bound)
+from .preimages import (_K_LIMIT, _dedupe_sorted, check_t, fixed_points,
+                        k_secondary, preimage_arrays, preimages,
+                        tail_bound_value, tail_weight_bound)
 
 log = logging.getLogger(__name__)
 
 _PAIR_CHUNK = 2_000_000
 _K_PROBE = 256  # branch truncation of the sup probe
 _K_FIRST = 32   # the first stage's least width; only contenders go to _K_PROBE
-_K_LIMIT = int(np.iinfo(np.int16).max)  # ChildTable keeps lift indices as int16
 
 
 @dataclass(frozen=True)
@@ -194,9 +193,10 @@ class _SupProbe:
         """The exact sums at t of the probes ids, solved to _K_PROBE or
         served from the table."""
         with self._lock:
-            parent, _, _, dabs, _, _ = self.table.solve(
+            n, _, _, dabs, _, _ = self.table.solve(
                 self.probes[ids], np.full(ids.size, _K_PROBE), math.inf)
-        return np.bincount(parent, weights=dabs ** (-t), minlength=ids.size)
+        return np.bincount(np.repeat(np.arange(ids.size), n),
+                           weights=dabs ** (-t), minlength=ids.size)
 
 
 # each parameter's sup probe is built once, and kept for the last four
@@ -244,9 +244,10 @@ class ChildTable:
 
     So a request, keyed by its bytes (the targets' raw bits and kmax, in
     order), has one answer, and the trees of one shape repeat their requests
-    at every level: the table keeps each answer and returns a repeat's
-    columns with no per-target work.  The answer is the storage: the entries
-    of the targets it solved are slices of its columns, a target it served
+    at every level: the table keeps each answer, its rows' root and miss
+    counts and its columns, and hands a repeat those very arrays, with no
+    per-target or per-root work.  The answer is the storage: the entries of
+    the targets it solved are slices of its columns, a target it served
     keeps its entry, and a solve's own columns are freed once no entry reads
     them.
 
@@ -278,17 +279,20 @@ class ChildTable:
         self.answered_whole = 0  # requests answered with a stored answer
 
     def solve(self, targets, kmax, limit):
-        """preimage_arrays(params, targets, kmax, tol=tol), with k as int16
-        and |F'| in place of F', solving only the targets the table cannot
-        serve; kmax is an int64 array.  The k, x, |F'| and missed k arrays
-        are read-only, and a repeated request gets the stored ones."""
+        """(n, k, x, |F'|, n_miss, missed k): preimage_arrays(params,
+        targets, kmax, tol=tol) with each row's root count n and miss count
+        n_miss in place of the parent indices, k as int16 and |F'| in place
+        of F', solving only the targets the table cannot serve; kmax is an
+        int64 array.  Every array is read-only, and a repeated request gets
+        the stored ones."""
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
         request = (bits.tobytes(), kmax.tobytes())
         self.pairs_requested += int((2 * kmax + 1).sum())
         answer = self.answers.get(request)
         if answer is not None:
             self.answered_whole += 1
-            return _with_parents(*answer)
+            (n, mn), cols = answer
+            return n, *cols[:3], mn, cols[3]
         keys = list(map(tuple, bits.tolist()))
         kms = kmax.tolist()
         rows = [self.entries.get(key) for key in keys]
@@ -321,39 +325,38 @@ class ChildTable:
             for r, (j, ks) in enumerate(zip(todo, k_sec.tolist())):
                 rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1],
                            kms[j], ks)
-        # consecutive rows of one solve are read as one slice, and a chunk
-        # read as one slice is not copied; a run holding rows served from a
-        # wider entry keeps each row's roots and misses with |k| up to that
-        # row's kmax, which are all of them on the run's other rows
-        counts = [np.array([row[2] - row[1] for row in rows]),
-                  np.array([row[4] - row[3] for row in rows])]
-        runs = []  # [cols, lo, hi, mlo, mhi, first row, holds a wider row]
-        for j, (cols, lo, hi, mlo, mhi, km, _) in enumerate(rows):
-            if runs and runs[-1][0] is cols and runs[-1][2] == lo \
-                    and runs[-1][4] == mlo:
-                runs[-1][2], runs[-1][4] = hi, mhi
-            else:
-                runs.append([cols, lo, hi, mlo, mhi, j, False])
-            if km != kms[j]:
-                runs[-1][6] = True
-        parts = [[], [], [], []]
-        ends = [run[5] for run in runs[1:]] + [len(rows)]
-        for (cols, lo, hi, mlo, mhi, j0, wide), j1 in zip(runs, ends):
-            roots, misses = slice(lo, hi), slice(mlo, mhi)
-            if wide and hi > lo:
-                take, counts[0][j0:j1] = _within(cols[0][roots], kmax[j0:j1],
-                                                 counts[0][j0:j1])
-                roots = lo + take
-            if wide and mhi > mlo:
-                take, counts[1][j0:j1] = _within(cols[3][misses], kmax[j0:j1],
-                                                 counts[1][j0:j1])
-                misses = mlo + take
-            for c in range(3):
-                parts[c].append(cols[c][roots])
-            parts[3].append(cols[3][misses])
-        cols = tuple(p[0] if len(p) == 1 else np.concatenate(p) for p in parts)
-        for col in cols:
+        # per column group (the roots' k, x and |F'|; the missed k), the rows
+        # of one solve that follow each other are one run, read as one
+        # slice, and a request of one run is not copied; when a row is
+        # served from a wider entry, each run keeps the roots and misses
+        # with |k| up to their row's kmax, which are all of them on the
+        # other rows
+        new_source = np.array([a[0] is not b[0]
+                               for a, b in zip(rows, rows[1:])], dtype=bool)
+        bounds = np.array([row[1:5] for row in rows], np.int64).T
+        counts, cols = [], []
+        for lo, hi, group in ((*bounds[:2], (0, 1, 2)), (*bounds[2:], (3,))):
+            n = hi - lo
+            starts = np.flatnonzero(np.concatenate(
+                ([True], new_source | (lo[1:] != hi[:-1]))))
+            ends = np.append(starts[1:], len(rows))
+            parts = []
+            for j0, j1, first, last in zip(starts.tolist(), ends.tolist(),
+                                           lo[starts].tolist(),
+                                           hi[ends - 1].tolist()):
+                run = [rows[j0][0][c][first:last] for c in group]
+                if wider:
+                    keep = np.abs(run[0]) <= np.repeat(kmax[j0:j1], n[j0:j1])
+                    run = [col[keep] for col in run]
+                    kept = np.concatenate(([0], np.cumsum(keep)))
+                    n[j0:j1] = np.diff(kept[np.cumsum(n[j0:j1])], prepend=0)
+                parts.append(run)
+            counts.append(n)
+            cols += [p[0] if len(p) == 1 else np.concatenate(p)
+                     for p in zip(*parts)]
+        for col in counts + cols:
             col.flags.writeable = False
+        cols = tuple(cols)
         if store:
             # the targets this call solved read the answer from now on
             self.answers[request] = counts, cols
@@ -366,22 +369,7 @@ class ChildTable:
                                              mcut[j], mcut[j + 1], *rows[j][5:])
                     self.roots += cut[j + 1] - cut[j] \
                         - (0 if old is None else old[2] - old[1])
-        return _with_parents(counts, cols)
-
-
-def _with_parents(counts, cols):
-    """A solve's output from its rows' root and miss counts and its (k, x,
-    |F'|, missed k) columns: each root and miss with its row's index."""
-    index = np.arange(counts[0].size)
-    return (np.repeat(index, counts[0]), *cols[:3],
-            np.repeat(index, counts[1]), cols[3])
-
-
-def _within(ks, kmax, counts):
-    """Positions in ks, the segments of rows with counts entries each, whose
-    |k| is at most their row's kmax, and how many each row keeps."""
-    take = np.flatnonzero(np.abs(ks) <= np.repeat(kmax, counts))
-    return take, np.diff(np.searchsorted(take, np.cumsum(counts)), prepend=0)
+        return counts[0], *cols[:3], counts[1], cols[3]
 
 
 @dataclass
@@ -508,13 +496,14 @@ def _pair_bounds(w, t, K, k_lo):
 def _choose_threshold(w, t, K, k_lo, p_floor, cap):
     """Smallest threshold >= p_floor whose expansion fits in `cap` pairs.
 
-    A node of weight w gets kmax = clip((C/2pi)(w/p)^(1/t), k_lo, K) branches
-    and is dropped entirely when the unclipped value falls below k_lo.  The
+    A node of weight w gets kmax = min((C/2pi)(w/p)^(1/t), K) branches and
+    is dropped entirely when the unclipped value falls below k_lo.  The
     threshold is p_floor if that fits, else the end of 60 geometric
     bisection steps; each test, p_floor's included, is decided from
     _pair_bounds where they leave no doubt, and by the exact count only
     where they straddle cap, so the result is the exact bisection's bit for
-    bit.
+    bit.  Returns (p, keep, kmax): the threshold, the level's mask of kept
+    nodes, and the kept nodes' kmax in level order.
     """
     bounds = _pair_bounds(w, t, K, k_lo)
 
@@ -549,11 +538,10 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
         p = hi
     cand, km = counted if counted is not None \
         else _pair_count(w, t, K, k_lo, p)[1:]
+    kept = km >= k_lo
     keep = np.zeros(w.size, dtype=bool)
-    keep[cand] = km >= k_lo
-    kmax = np.full(w.size, min(k_lo, K), dtype=np.int64)
-    kmax[cand] = np.minimum(np.maximum(km, k_lo), K).astype(np.int64)
-    return p, keep, kmax
+    keep[cand] = kept
+    return p, keep, np.minimum(km[kept], K).astype(np.int64)
 
 
 def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
@@ -597,11 +585,12 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         # the 0.9 leaves slack for secondary roots beyond the pair count
         cap = max(0.9 * (lv.budget - lv.stored) / (2.0 ** (n - depth + 1) - 1.0),
                   4.0 * k_lo + 2)
-        p_abs, keep, kmax = _choose_threshold(w, t, K, k_lo, p_floor, cap)
+        p_abs, keep, kk = _choose_threshold(w, t, K, k_lo, p_floor, cap)
         parent_cut = carry_cut + float(w[~keep].sum())
-        kept_idx = np.flatnonzero(keep)  # parent pointers index the full level
-        xk, wk, kk = x[keep], w[keep], kmax[keep]
-        del x, w, keep, kmax  # freed before the children are solved
+        if keep_nodes:  # parent pointers index the full level
+            kept_idx = np.flatnonzero(keep)
+        xk, wk = x[keep], w[keep]
+        del x, w, keep  # freed before the children are solved
         tail_cut = float((wk * tail_bound_value(kk, t)).sum())
 
         value = 0.0
@@ -623,11 +612,12 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
                                      + _PAIR_CHUNK, side="left")) + 1
             hi = max(hi, start + 1)
             sl = slice(start, min(hi, xk.size))
-            ci, ck, cx, cdabs, mi, mk = children.solve(xk[sl], kk[sl], limit)
-            cw = wk[sl][ci] * cdabs ** (-t)
-            if mi.size:
-                lv.misses += int(mi.size)
-                est = wk[sl][mi] * (TWO_PI * np.abs(mk) / defaults.C_GEO) ** (-t)
+            cn, ck, cx, cdabs, mn, mk = children.solve(xk[sl], kk[sl], limit)
+            cw = np.repeat(wk[sl], cn) * cdabs ** (-t)
+            if mk.size:
+                lv.misses += int(mk.size)
+                est = np.repeat(wk[sl], mn) \
+                    * (TWO_PI * np.abs(mk) / defaults.C_GEO) ** (-t)
                 tail_cut += float(est.sum())
             value += float(cw.sum())
             keep_c = cw >= p_abs * 0.25
@@ -636,7 +626,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
             if store:
                 outs.append((cx[keep_c], cw[keep_c]))
                 if keep_nodes:
-                    outs[-1] += (kept_idx[ci[keep_c] + sl.start],
+                    outs[-1] += (np.repeat(kept_idx[sl], cn)[keep_c],
                                  ck[keep_c].astype(np.int64), cdabs[keep_c])
             start = sl.stop
         lv.values.append(value)

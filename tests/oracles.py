@@ -235,7 +235,8 @@ def choose_threshold_reference(w, t, K, k_lo, p_floor, cap, steps=None):
     """transfer._choose_threshold the plain way: 60 geometric bisection steps,
     each recounting the pairs of the whole level with a fresh pow.
 
-    Returns (p, keep, kmax) as the library does, bit for bit; a list passed
+    Returns (p, keep, kmax) with kmax over the whole level; the library
+    returns the same p and keep bit for bit, and kmax[keep].  A list passed
     as `steps` receives each bisection step's (mid, pairs).
     """
     from bowendim import defaults

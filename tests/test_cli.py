@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from bowendim import (DimensionRecord, GridSpec, SweepGrid, cli, preimages,
                       pressure_ratio)
-from bowendim.cli import main, parse_complex, render_grid
+from bowendim.cli import _CASTS, build_parser, main, parse_complex, render_grid
 from bowendim.transfer import default_base_point
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -207,6 +208,16 @@ def test_numerical_failure_exit_code(tmp_path):
                "--c", "1" + "0" * 20]),
     ("nx: ", ["sweep", "--nx", "1" + "0" * 20]),
     ("samples: ", ["expansion", "--samples", "many"]),
+    ("K must be <= 32767", ["preimages", "--w", "0", "--K", "1" + "0" * 15]),
+    ("half-re: ", ["sweep", "--half-re", "x"]),
+    ("half-im: ", ["sweep", "--half-im", "x"]),
+    ("radius-eps: ", ["classify", "--res", "4x4", "--radius-eps", "x"]),
+    ("c-radius: ", ["expansion", "--c-radius", "x"]),
+    ("center: ", ["sweep", "--center", "2+xi"]),
+    ("c-end: ", ["continue-orbit", "--c-end", "zz"]),
+    ("w: ", ["preimages", "--w", "inf"]),
+    ("window: ", ["classify", "--res", "4x4", "--window", "a:b"]),
+    ("res: ", ["classify", "--res", "10x"]),
 ])
 def test_input_outside_the_domain_is_usage_error(tmp_path, name, argv, capsys):
     # argv's own flags come last, so they override the defaults given here;
@@ -218,6 +229,23 @@ def test_input_outside_the_domain_is_usage_error(tmp_path, name, argv, capsys):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith(f"{argv[0]}: {name}") and err.count("\n") == 1
+
+
+def test_readme_knob_table_matches_the_parser():
+    # each subcommand's row lists the knobs (the _CASTS flags other than
+    # --ell, --c and --out) that its parser offers, no more and no fewer
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| subcommand | knobs |\n|---|---|\n", 1)[1]
+    listed = {}
+    for row in table.split("\n\n", 1)[0].splitlines():
+        names, knobs = row.strip("|").split("|")
+        for name in re.findall(r"`([\w-]+)`", names):
+            listed[name] = set(re.findall(r"`--(\w+)`", knobs))
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a.choices, dict))
+    offered = {name: {a.dest for a in sp._actions if a.dest in _CASTS}
+               - {"ell", "c", "out"} for name, sp in commands.items()}
+    assert listed == offered
 
 
 @pytest.mark.parametrize("key", ["ell", "K", "n", "threads"])

@@ -230,6 +230,12 @@ def test_tail_bound_guards():
         tail_weight_bound(5, 1.5)
 
 
+def test_preimages_refuses_k_beyond_the_limit(params22):
+    # the trees' K limit, checked before any array is made
+    with pytest.raises(ValueError, match="^K must be <= 32767, got 32768$"):
+        preimages(params22, 0.5, 32_768)
+
+
 def test_empirical_tail_below_bound(params22):
     ps = preimages(params22, cmath.log(2), 1000)
     ks = ps.ks()

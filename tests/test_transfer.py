@@ -507,11 +507,13 @@ def _table_solve(table, targets, kmax, limit=10**9):
 
 
 def _tableless(p, targets, kmax, tol=1e-11, solve=preimage_arrays):
-    """What ChildTable.solve returns, from one table-less solve."""
+    """What ChildTable.solve returns, from one table-less solve: each row's
+    root count, k as int16, x, |F'|, each row's miss count and missed k."""
+    targets = np.asarray(targets, dtype=complex)
     ci, ck, cx, cd, mi, mk = solve(
-        p, np.asarray(targets, dtype=complex), np.asarray(kmax, dtype=np.int64),
-        tol=tol)
-    return ci, ck.astype(np.int16), cx, np.abs(cd), mi, mk
+        p, targets, np.asarray(kmax, dtype=np.int64), tol=tol)
+    return (np.bincount(ci, minlength=targets.size), ck.astype(np.int16), cx,
+            np.abs(cd), np.bincount(mi, minlength=targets.size), mk)
 
 
 class _Tableless:
@@ -620,7 +622,7 @@ def test_misses_served_from_a_wide_entry(params22, base, solved_pairs):
         got = _table_solve(table, [base], [km])
         _same_bits(got, _tableless(params22, [base], [km]))
         assert solved_pairs[-1] == 0
-        misses.append(got[4].size)
+        misses.append(got[5].size)
     assert misses[0] > misses[1] > 0
     assert table.served_wider == 3
 
@@ -669,6 +671,21 @@ def test_repeated_request_is_answered_whole(solved_pairs):
                _tableless(p, targets, [40, 60, 21]))
     assert solved_pairs[-1] == 0 and table.answered_whole == 2
     assert len(table.answers) == 2
+
+
+def test_repeat_returns_the_stored_arrays():
+    # a repeated request gets the answer's count and column arrays
+    # themselves, read-only: answering it whole allocates nothing per root
+    table = ChildTable(MapParams(2, 2.0), 1e-11)
+    targets, kmax = [0.3 + 1.1j, -1.0 - 2.0j], [40, 60]
+    first = _table_solve(table, targets, kmax)
+    again = _table_solve(table, targets, kmax)
+    (counts, misses), cols = table.answers[next(iter(table.answers))]
+    assert table.answered_whole == 1
+    for got in (first, again):
+        assert all(g is s for g, s in zip(got, (counts, *cols[:3], misses,
+                                                cols[3])))
+    assert not any(col.flags.writeable for col in again)
 
 
 def _held(table):
@@ -888,10 +905,11 @@ def test_shadow_cycles_empty_leaf(params22):
 # --------------------------------------------------------- threshold choice
 
 def _same_choice(got, ref):
-    """(p, keep, kmax) equal bit for bit, dtypes included."""
+    """p, keep and the kept nodes' kmax equal bit for bit, dtypes included;
+    the reference gives kmax over the whole level."""
     return (np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
             and all(g.dtype == r.dtype and g.tobytes() == r.tobytes()
-                    for g, r in zip(got[1:], ref[1:])))
+                    for g, r in zip(got[1:], (ref[1], ref[2][ref[1]]))))
 
 
 def test_threshold_matches_reference_in_a_bowen_solve(monkeypatch):
