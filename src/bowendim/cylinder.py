@@ -261,6 +261,9 @@ def classify_window(params: MapParams, re_min: float, re_max: float,
     """
     if nx < 1 or ny < 1:
         raise ValueError("resolution must be positive")
+    if not (math.isfinite(re_min) and math.isfinite(re_max) and re_min < re_max):
+        raise ValueError(f"window {re_min:g}:{re_max:g} must be finite, with "
+                         f"its start below its end")
     res = np.linspace(re_min, re_max, nx, endpoint=False) + (re_max - re_min) / (2 * nx)
     ims = math.pi - (np.arange(ny) + 0.5) * TWO_PI / ny
     z = (res[None, :] + 1j * ims[:, None]).ravel()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import defaults
 from .cylinder import MapParams
 from .errors import AccuracyNotReached, NoBracket, NumericsError
-from .transfer import (ChildTable, PressureEstimate, _sup_l1_probe,
+from .transfer import (PressureEstimate, TreeStore, _sup_l1_probe,
                        best_ratio_estimate, default_base_point)
 
 log = logging.getLogger(__name__)
@@ -31,13 +31,14 @@ _ATTEMPTS = ((4, 512, 1e-9, 250_000),
 
 def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
              max_attempts: int = len(_ATTEMPTS),
-             budget: int = None, children: ChildTable = None) -> PressureEstimate:
+             budget: int = None, store: TreeStore = None) -> PressureEstimate:
     """Adaptive pressure estimate at one t.
 
     Raises n, K and the pruning depth on a fixed schedule until the reported
     uncertainty drops below `accuracy`; raises AccuracyNotReached (carrying
     the best estimate) once the schedule or node budget is exhausted.
-    ``children`` lets the trees of one Bowen solve share their branch solves.
+    ``store`` lets the evaluations of one Bowen solve grow each row's tree
+    once and read it at every later t.
     """
     if t <= 1.0:
         raise ValueError("pressure is defined for t > 1")
@@ -49,7 +50,7 @@ def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
         if budget is not None:
             nodes = min(nodes, budget)
         est = best_ratio_estimate(params, t, base, n, K, prune, nodes,
-                                  children=children)
+                                  store=store)
         if best is None or est.uncertainty < best.uncertainty:
             best = est
         if est.uncertainty <= accuracy:
@@ -92,18 +93,19 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
 
     The point estimate interpolates the pressure linearly across the final
     bracket (smooth in the parameter c, unlike the raw midpoint) and always
-    lies strictly inside it.  Every tree of the solve draws its branch
-    solves from one ChildTable, so each node's children are solved once, or
-    again only for a wider truncation, and a tree level that repeats an
-    earlier one is answered whole.  A pressure estimate that is not
-    finite raises NumericsError naming its t, with the trace so far.
+    lies strictly inside it.  The solve keeps one TreeStore: each schedule
+    row's tree is grown once, at the first t that asks for it, drawing its
+    branch solves from one ChildTable shared by the rows, and every later t
+    reads its sums from that tree's record with no threshold choice and no
+    solve.  A pressure estimate that is not finite raises NumericsError
+    naming its t, with the trace so far.
     """
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
     base = default_base_point(params)
     evals = 0
     trace = []
-    children = ChildTable(params, defaults.TOL)
+    store = TreeStore(params, defaults.TOL)
 
     def est_at(t, acc, extra=0):
         nonlocal evals
@@ -111,7 +113,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         try:
             e = pressure(params, t, acc, z=base,
                          max_attempts=max_attempts + extra, budget=budget,
-                         children=children)
+                         store=store)
         except AccuracyNotReached as exc:
             e = exc.estimate
         trace.append((t, e.value, e.uncertainty))
@@ -189,12 +191,13 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
         "prune": float(est_hi.prune),
     }
     if log.isEnabledFor(logging.DEBUG):
-        log.debug("bowen_dimension %s: %d of %d pairs solved, %d requests "
-                  "served from a wider solve, %d answered whole; children "
-                  "table holds %d targets, %d roots; sup probe solved %d "
-                  "probes in full",
-                  params, children.pairs_solved, children.pairs_requested,
-                  children.served_wider, children.answered_whole,
-                  len(children.entries), children.roots,
+        table = store.table
+        log.debug("bowen_dimension %s: %d trees grown, %d read from their "
+                  "records; %d of %d pairs solved, %d requests served from a "
+                  "wider solve; children table holds %d targets, %d roots; "
+                  "sup probe solved %d probes in full",
+                  params, len(store.records), store.reads, table.pairs_solved,
+                  table.pairs_requested, table.served_wider,
+                  len(table.entries), table.roots,
                   len(_sup_l1_probe(params).table.entries))
     return DimensionRecord(params.c, t_star, uncertainty, (lo, hi), evals, diag)

@@ -176,7 +176,7 @@ def _dedupe_sorted(i_idx, ks, xs, exs, radius, alone=None):
 
     Entries flagged in ``alone`` are known to share their quantisation cell
     with no other entry and skip the first pass.  Survivors come back sorted
-    by (target, real part, imaginary part).
+    by (target, real part, imaginary part), ties in input order.
     """
     if xs.size == 0:
         return i_idx, ks, xs, exs
@@ -190,21 +190,39 @@ def _dedupe_sorted(i_idx, ks, xs, exs, radius, alone=None):
     i_s, rq, iq = i_idx[sub][order], re_q[order], im_q[order]
     first = np.ones(order.size, dtype=bool)
     first[1:] = ~((i_s[1:] == i_s[:-1]) & (rq[1:] == rq[:-1]) & (iq[1:] == iq[:-1]))
-    kept = sub[order[first]]
-    if alone is not None:
-        kept = np.concatenate([np.flatnonzero(alone), kept])
+    lone = np.flatnonzero(alone) if alone is not None else sub[:0]
+    kept = np.concatenate([lone, sub[order[first]]])
     i_s, k_s, x_s, e_s = i_idx[kept], ks[kept], xs[kept], exs[kept]
-    # exact pass for cell-boundary stragglers, sorted by real part; no two
-    # survivors tie on (target, real, imag), so the order is unique
-    order = np.argsort(x_s, kind="stable")  # complex: real, then imaginary
-    order = order[np.argsort(i_s[order], kind="stable")]
+    # exact pass for cell-boundary stragglers in (target, real, imag) order,
+    # ties in input order: the real part sorted unstably, then the target
+    # stably, by radix where it spans fewer than 2^16 values, then each run
+    # of equal (target, real), -0.0 == 0.0 included, by (imag, position)
+    order = np.argsort(x_s.real)
+    key = i_s[order] - i_s.min()
+    if key.max() < 1 << 16:
+        key = key.astype(np.uint16)
+    order = order[np.argsort(key, kind="stable")]
+    i_o, re_o = i_s[order], x_s.real[order]
+    tie = (i_o[1:] == i_o[:-1]) & (re_o[1:] == re_o[:-1])
+    if tie.any():
+        pos = np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))
+        run = np.cumsum(np.insert(~tie, 0, True))[pos]
+        ties = order[pos]
+        order[pos] = ties[np.lexsort((ties, x_s.imag[ties], run))]
     i_s, k_s, x_s, e_s = i_s[order], k_s[order], x_s[order], e_s[order]
+    # Two entries of one target within the radius in the plane share their
+    # k (_one_k_per_cell, the condition under which alone is set), so their
+    # slot, and neither is alone; an alone entry can only be close to
+    # another across the seam Im = +-pi, where both lie within the radius of
+    # it.  Only pairs of entries that may be close are compared.
+    check = (order >= lone.size) | (np.abs(x_s.imag) > math.pi - 2.0 * radius)
     keep = np.ones(x_s.size, dtype=bool)
     for off in (1, 2):
         if x_s.size > off:
-            close = (i_s[off:] == i_s[:-off]) \
-                & (cylinder_distance(x_s[off:], x_s[:-off]) < radius)
-            keep[off:] &= ~close
+            j = np.flatnonzero(check[off:] & check[:-off])
+            close = (i_s[j + off] == i_s[j]) \
+                & (cylinder_distance(x_s[j + off], x_s[j]) < radius)
+            keep[j[close] + off] = False
     return i_s[keep], k_s[keep], x_s[keep], e_s[keep]
 
 

@@ -173,6 +173,8 @@ def expansion_constants(params: MapParams, c_radius: float, samples: int,
         raise ValueError("samples must be >= 10")
     if n_max < 5:
         raise ValueError("n_max must be >= 5")
+    if not 0 < c_radius < math.inf:
+        raise ValueError(f"c_radius must be finite and > 0, got {c_radius:g}")
     cs = [params.c] + [params.c + c_radius * 1j ** j for j in range(4)]
     per_param = max(2, samples // len(cs))
     pool = {n: [] for n in range(1, n_max + 1)}

@@ -26,14 +26,15 @@ Every tree's branch solves go through a ChildTable, which keeps one entry
 per solved target, its roots and |F'| from the widest solve so far, and
 serves every later call for that target whose truncation lies between the
 target's k_secondary and that width; a table belongs to one parameter and
-one tolerance.  It also keeps each call's answer, which is the storage its
-entries read, and answers a call repeated byte for byte with it whole.
-bowen_dimension hands one table down to all of its trees, so the trees grown
-for different t share their nodes' branch equations, and a tree of the same
-shape as an earlier one pays only for its weights; any other tree gets a
-table of its own, which still solves the base point's fixed-point preimage,
-found again at every level, only once.  The sup probe keeps its probes
-solved to 256 in a table of its own.
+one tolerance.  bowen_dimension keeps a TreeStore: one table, and per
+schedule row the record of the tree grown at the first t that asks for the
+row.  Every later t reads that tree from its record, taking each weight,
+sum, cut and miss estimate at t by the growth's own arithmetic, with no
+threshold choice and no solve; the cuts themselves are the first t's.  A
+row's tree draws on the branches an earlier row's solved.  Any other tree
+is grown at its t with a table of its own, which still solves the base
+point's fixed-point preimage, found again at every level, only once.  The
+sup probe keeps its probes solved to 256 in a table of its own.
 """
 
 from __future__ import annotations
@@ -231,25 +232,15 @@ class ChildTable:
     """The solved branches of every target of one parameter and tolerance,
     for one Bowen solve, one tree or one sup probe.
 
-    The trees of one Bowen solve differ in t, but their nodes keep solving
-    the same branch equations; only the weights |F'|^-t change.  One
-    target's solve output (its roots in (real, imag) order and its missed k
-    in ascending order) depends on the target's bits and kmax alone, whatever
-    else its call solves, so the table keeps one entry per target: what its
-    readers need of the widest solve so far, as one target's slice of
-    compact columns (the lift index, the root, |F'| and the missed k).  Lift
-    indices are int16, which _grow guards by bounding K.  The target is
-    keyed by its raw bits, as +0.0 and -0.0 lie on opposite sides of Log's
-    branch cut.
-
-    So a request, keyed by its bytes (the targets' raw bits and kmax, in
-    order), has one answer, and the trees of one shape repeat their requests
-    at every level: the table keeps each answer, its rows' root and miss
-    counts and its columns, and hands a repeat those very arrays, with no
-    per-target or per-root work.  The answer is the storage: the entries of
-    the targets it solved are slices of its columns, a target it served
-    keeps its entry, and a solve's own columns are freed once no entry reads
-    them.
+    The two trees of a Bowen solve, one per schedule row, keep solving the
+    same branch equations.  One target's solve output (its roots in
+    (real, imag) order and its missed k in ascending order) depends on the
+    target's bits and kmax alone, whatever else its call solves, so the
+    table keeps one entry per target: what its readers need of the widest
+    solve so far, as one target's slice of the compact columns that solve
+    made (the lift index, the root, |F'| and the missed k).  Lift indices
+    are int16, which _grow guards by bounding K.  The target is keyed by its
+    raw bits, as +0.0 and -0.0 lie on opposite sides of Log's branch cut.
 
     An entry solved to kmax serves every request for kmax' with
     k_secondary(target) <= kmax' <= kmax: its roots and misses with
@@ -262,37 +253,28 @@ class ChildTable:
     Newton iterate stays clear of the strip's edges (near Im x = -+pi/2 for
     large |k|), so no root of theirs re-indexes into |k| <= kmax'.  A
     narrower kmax' is solved as asked, and a wider one is solved and
-    replaces the entry.  A solve stores nothing, neither entries nor its
-    answer, once the entries hold `limit` roots (the node budget of the tree
-    being grown), so they exceed it by at most one chunk's roots; lookups go
-    on, and the output bits do not depend on what is cached.
+    replaces the entry.  A solve stores no entry once the entries hold
+    `limit` roots (the node budget of the tree being grown), so they exceed
+    it by at most one chunk's roots; lookups go on, and the output bits do
+    not depend on what is cached.
     """
 
     def __init__(self, params, tol):
         self.params, self.tol = params, tol
         self.entries = {}
-        self.answers = {}  # a request's bytes -> its answer, its rows' storage
         self.roots = 0
         self.pairs_requested = 0
         self.pairs_solved = 0
         self.served_wider = 0  # requests served from a wider entry
-        self.answered_whole = 0  # requests answered with a stored answer
 
     def solve(self, targets, kmax, limit):
         """(n, k, x, |F'|, n_miss, missed k): preimage_arrays(params,
         targets, kmax, tol=tol) with each row's root count n and miss count
         n_miss in place of the parent indices, k as int16 and |F'| in place
         of F', solving only the targets the table cannot serve; kmax is an
-        int64 array.  Every array is read-only, and a repeated request gets
-        the stored ones."""
+        int64 array.  Every array is read-only."""
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
-        request = (bits.tobytes(), kmax.tobytes())
         self.pairs_requested += int((2 * kmax + 1).sum())
-        answer = self.answers.get(request)
-        if answer is not None:
-            self.answered_whole += 1
-            (n, mn), cols = answer
-            return n, *cols[:3], mn, cols[3]
         keys = list(map(tuple, bits.tolist()))
         kms = kmax.tolist()
         rows = [self.entries.get(key) for key in keys]
@@ -325,6 +307,12 @@ class ChildTable:
             for r, (j, ks) in enumerate(zip(todo, k_sec.tolist())):
                 rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1],
                            kms[j], ks)
+                if store:
+                    old = self.entries.get(keys[j])
+                    if old is None or old[5] < kms[j]:
+                        self.entries[keys[j]] = rows[j]
+                        self.roots += cut[r + 1] - cut[r] \
+                            - (0 if old is None else old[2] - old[1])
         # per column group (the roots' k, x and |F'|; the missed k), the rows
         # of one solve that follow each other are one run, read as one
         # slice, and a request of one run is not copied; when a row is
@@ -356,19 +344,6 @@ class ChildTable:
                      for p in zip(*parts)]
         for col in counts + cols:
             col.flags.writeable = False
-        cols = tuple(cols)
-        if store:
-            # the targets this call solved read the answer from now on
-            self.answers[request] = counts, cols
-            cut, mcut = (np.cumsum(np.concatenate(([0], n))).tolist()
-                         for n in counts)
-            for j in todo:
-                old = self.entries.get(keys[j])
-                if old is None or old[5] < kms[j]:
-                    self.entries[keys[j]] = (cols, cut[j], cut[j + 1],
-                                             mcut[j], mcut[j + 1], *rows[j][5:])
-                    self.roots += cut[j + 1] - cut[j] \
-                        - (0 if old is None else old[2] - old[1])
         return counts[0], *cols[:3], counts[1], cols[3]
 
 
@@ -544,8 +519,71 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
     return p, keep, np.minimum(km[kept], K).astype(np.int64)
 
 
+def _chunks(kk):
+    """The slices of a level's kept nodes (kmax kk) solved together: as many
+    nodes as fit in _PAIR_CHUNK pairs, and at least one."""
+    csum = np.cumsum(2 * kk + 1)
+    start = 0
+    while start < kk.size:
+        hi = int(np.searchsorted(csum, (csum[start - 1] if start else 0)
+                                 + _PAIR_CHUNK, side="left")) + 1
+        sl = slice(start, min(max(hi, start + 1), kk.size))
+        yield sl
+        start = sl.stop
+
+
+def _weigh(wk, kk, t, chunks, cut):
+    """One level's sums at t from its kept nodes' weights wk and kmax kk:
+    (S_j, its tail cut, its dust, its misses, and per chunk the children's
+    weights and the mask of those kept).
+
+    chunks holds, per slice of _chunks(kk), the children's counts and |F'|
+    as ChildTable.solve returns them, the miss counts, the missed k and the
+    mask of the children kept, or None where the children whose weight
+    reaches cut are kept.  Growth and reads both weigh a level here.
+    """
+    tail_cut = float((wk * tail_bound_value(kk, t)).sum())
+    value = dust = 0.0
+    misses = 0
+    weights, masks = [], []
+    for sl, (cn, cdabs, mn, mk, keep_c) in zip(_chunks(kk), chunks):
+        cw = np.repeat(wk[sl], cn) * cdabs ** (-t)
+        if mk.size:
+            misses += int(mk.size)
+            est = np.repeat(wk[sl], mn) \
+                * (TWO_PI * np.abs(mk) / defaults.C_GEO) ** (-t)
+            tail_cut += float(est.sum())
+        value += float(cw.sum())
+        if keep_c is None:
+            keep_c = cw >= cut
+        dust += float(cw[~keep_c].sum())
+        weights.append(cw)
+        masks.append(keep_c)
+    return value, tail_cut, dust, misses, weights, masks
+
+
 def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
-          children=None):
+          children=None, record=None):
+    """The preimage tree of z at t, n levels deep, grown breadth first.
+
+    Each level chooses its threshold (_choose_threshold) and cuts the nodes
+    below it, solves the kept nodes' branches |k| <= kmax through
+    `children` (a ChildTable; without one the tree gets a table of its own)
+    in chunks of about _PAIR_CHUNK pairs, and keeps as the next level the
+    children whose weight reaches a quarter of the threshold; the others
+    are dust, cut on entering the next level.
+
+    `record`, a list, lets a tree be grown once and read at later t.  An
+    empty one receives per level what another t needs: the kept mask, the
+    kept nodes' kmax, and per chunk the children's counts and |F'|, the miss
+    counts, the missed k and the mask of the children kept.  A filled one is
+    read at t: no threshold is chosen and nothing is solved, but every sum,
+    cut and miss estimate is taken at t by the same steps (_weigh), so a
+    read at the growth's own t has the growth's bits.  Only the choice of
+    the nodes cut comes from the t the tree was grown at; the mass they
+    carry at t is ledgered as ever, and the read ends where the growth did,
+    on an empty level, the budget or the last level.
+    """
     check_t(t)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -563,6 +601,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
     elif (children.params, children.tol) != (params, tol):
         raise ValueError("the children table belongs to another parameter "
                          "or tolerance")
+    read = bool(record)
     base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
     k_lo = min(defaults.k_min(params.ell, params.c), K)
 
@@ -576,64 +615,45 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
                                    np.full(1, -1, np.int64), np.ones(1), w.copy()))
     carry_cut = 0.0
     for depth in range(1, n + 1):
-        if x.size == 0:
+        if w.size == 0:
             lv.budget_exceeded = True
             break
-        s_prev = lv.values[-1]
-        p_floor = max(prune * s_prev, 1e-300)
-        # geometric budget split: the deepest levels carry the widest frontier;
-        # the 0.9 leaves slack for secondary roots beyond the pair count
-        cap = max(0.9 * (lv.budget - lv.stored) / (2.0 ** (n - depth + 1) - 1.0),
-                  4.0 * k_lo + 2)
-        p_abs, keep, kk = _choose_threshold(w, t, K, k_lo, p_floor, cap)
-        parent_cut = carry_cut + float(w[~keep].sum())
-        if keep_nodes:  # parent pointers index the full level
-            kept_idx = np.flatnonzero(keep)
-        xk, wk = x[keep], w[keep]
-        del x, w, keep  # freed before the children are solved
-        tail_cut = float((wk * tail_bound_value(kk, t)).sum())
-
-        value = 0.0
-        dust = 0.0
-        n_children = 0
-        # the last level's children are only counted, unless nodes are kept;
-        # a table of this tree's own is never read after its last level
+        # the last level's children are only counted, unless nodes are kept
         store = depth < n or keep_nodes
-        limit = 0 if own_table and depth == n else lv.budget
-        # the kept children's x and w, and under keep_nodes their parent, k
-        # and |F'|
-        outs = [(np.empty(0, complex), np.empty(0), np.empty(0, np.int64),
-                 np.empty(0, np.int64), np.empty(0))[:5 if keep_nodes else 2]]
-        start = 0
-        counts = 2 * kk + 1
-        csum = np.cumsum(counts)
-        while start < xk.size:
-            hi = int(np.searchsorted(csum, (csum[start - 1] if start else 0)
-                                     + _PAIR_CHUNK, side="left")) + 1
-            hi = max(hi, start + 1)
-            sl = slice(start, min(hi, xk.size))
-            cn, ck, cx, cdabs, mn, mk = children.solve(xk[sl], kk[sl], limit)
-            cw = np.repeat(wk[sl], cn) * cdabs ** (-t)
-            if mk.size:
-                lv.misses += int(mk.size)
-                est = np.repeat(wk[sl], mn) \
-                    * (TWO_PI * np.abs(mk) / defaults.C_GEO) ** (-t)
-                tail_cut += float(est.sum())
-            value += float(cw.sum())
-            keep_c = cw >= p_abs * 0.25
-            dust += float(cw[~keep_c].sum())
-            n_children += int(keep_c.sum())
-            if store:
-                outs.append((cx[keep_c], cw[keep_c]))
-                if keep_nodes:
-                    outs[-1] += (np.repeat(kept_idx[sl], cn)[keep_c],
-                                 ck[keep_c].astype(np.int64), cdabs[keep_c])
-            start = sl.stop
+        if read:
+            keep, kk, chunks = record[depth - 1]
+        else:
+            s_prev = lv.values[-1]
+            p_floor = max(prune * s_prev, 1e-300)
+            # geometric budget split: the deepest levels carry the widest
+            # frontier; the 0.9 leaves slack for secondary roots beyond the
+            # pair count
+            cap = max(0.9 * (lv.budget - lv.stored)
+                      / (2.0 ** (n - depth + 1) - 1.0), 4.0 * k_lo + 2)
+            p_abs, keep, kk = _choose_threshold(w, t, K, k_lo, p_floor, cap)
+        parent_cut = carry_cut + float(w[~keep].sum())
+        w = w[keep]  # the level is freed before its children are solved
+        if not read:
+            if keep_nodes:  # parent pointers index the full level
+                kept_idx = np.flatnonzero(keep)
+            x = x[keep]
+            # a table of this tree's own is never read after its last level
+            limit = 0 if own_table and depth == n else lv.budget
+            solved = [children.solve(x[sl], kk[sl], limit)
+                      for sl in _chunks(kk)]
+            del x  # the next level's come from the solves
+            chunks = [(cn, cdabs, mn, mk, None)
+                      for cn, _, _, cdabs, mn, mk in solved]
+        value, tail_cut, carry_cut, misses, weights, masks = _weigh(
+            w, kk, t, chunks, None if read else p_abs * 0.25)
+        if record is not None and not read:
+            record.append((keep, kk, [(*chunk[:4], keep_c) for chunk, keep_c
+                                      in zip(chunks, masks)]))
         lv.values.append(value)
         lv.parent_cuts.append(parent_cut)
         lv.tail_cuts.append(tail_cut)
-        carry_cut = dust
-
+        lv.misses += misses
+        n_children = sum(int(keep_c.sum()) for keep_c in masks)
         if lv.stored + n_children > lv.budget:
             lv.budget_exceeded = True
             if keep_nodes:
@@ -642,23 +662,65 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         lv.stored += n_children
         if not store:
             break
-        x, w, *nodes = map(np.concatenate, zip(*outs))
+        # the next level; what it is made from is freed before its solves
+        w = np.concatenate([np.empty(0)] + [cw[keep_c] for cw, keep_c
+                                            in zip(weights, masks)])
+        del weights
+        if read:
+            continue
+        x = np.concatenate([np.empty(0, complex)] + [
+            cx[keep_c] for (_, _, cx, *_), keep_c in zip(solved, masks)])
         if keep_nodes:
-            parent, k, dabs = nodes
+            parent, k, dabs = (np.concatenate(parts) for parts in zip(
+                (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
+                *[(np.repeat(kept_idx[sl], cn)[keep_c],
+                   ck[keep_c].astype(np.int64), cdabs[keep_c])
+                  for sl, (cn, ck, _, cdabs, _, _), keep_c
+                  in zip(_chunks(kk), solved, masks)]))
             lv.nodes.append(LevelNodes(x, k, parent, dabs, w))
+        del solved, chunks
     return lv
+
+
+class TreeStore:
+    """The trees of one Bowen solve: one ChildTable, so a row's tree draws
+    on the branches an earlier row's solved, and per schedule row (base
+    point, n, K, prune, budget) the record of its tree, grown at the first t
+    that asks for the row and read at every later one (see _grow)."""
+
+    def __init__(self, params, tol):
+        self.table = ChildTable(params, tol)
+        self.records = {}
+        self.reads = 0
+
+    def levels(self, params, t, z, n, K, prune, budget):
+        """The row's tree at t, grown and recorded or read from its record."""
+        base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
+        key = (np.complex128(base).tobytes(), n, K, prune, budget)
+        record = self.records.get(key, [])
+        read = bool(record)  # a recorded tree has at least one level
+        lv = _grow(params, t, z, n, K, prune, budget, tol=self.table.tol,
+                   children=self.table, record=record)
+        if read:
+            self.reads += 1
+        else:
+            self.records[key] = record  # a growth that raised records nothing
+        return lv
 
 
 def transfer_level_sums(params: MapParams, t: float, z, n: int,
                         K: int = defaults.K, prune: float = defaults.PRUNE,
-                        budget: int = defaults.NODE_BUDGET, *, children=None):
+                        budget: int = defaults.NODE_BUDGET, *, store=None):
     """S_0 .. S_n with error accounting, S_j = (truncated) L_t^j 1 (z).
 
-    ``children`` is a ChildTable of this parameter and tolerance, shared by
-    the trees of one Bowen solve; without it the tree gets a table of its
-    own.
+    ``store`` is the TreeStore of a Bowen solve: the tree of each (z, n, K,
+    prune, budget) is grown once, at the first t, and read at every later
+    one.  Without it the tree is grown at t with a table of its own.
     """
-    lv = _grow(params, t, z, n, K, prune, budget, children=children)
+    if store is None:
+        lv = _grow(params, t, z, n, K, prune, budget)
+    else:
+        lv = store.levels(params, t, z, n, K, prune, budget)
     return lv.weighted(n)
 
 
@@ -711,7 +773,7 @@ def pressure_ratio(params: MapParams, t: float, z, n: int,
 def best_ratio_estimate(params: MapParams, t: float, z, n: int,
                         K: int = defaults.K, prune: float = defaults.PRUNE,
                         budget: int = defaults.NODE_BUDGET, *,
-                        children=None) -> PressureEstimate:
+                        store=None) -> PressureEstimate:
     """The ratio depth (2..n) with the smallest reported uncertainty.
 
     Early ratios carry power-iteration transient (drift), late ones carry
@@ -720,8 +782,7 @@ def best_ratio_estimate(params: MapParams, t: float, z, n: int,
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    S = transfer_level_sums(params, t, z, n, K, prune, budget,
-                            children=children)
+    S = transfer_level_sums(params, t, z, n, K, prune, budget, store=store)
     best = None
     for j in range(2, len(S)):
         est = _ratio_estimate(S, j, t, K, prune)

@@ -149,6 +149,36 @@ def dedupe_reference(i_idx, ks, xs, exs, radius):
     return i_s[keep], k_s[keep], x_s[keep], e_s[keep]
 
 
+def dedupe_sorted_reference(i_idx, ks, xs, exs, radius, alone=None):
+    """preimages._dedupe_sorted with its exact pass ordered by two stable
+    argsorts (complex, then target) and every neighbour pair compared."""
+    if xs.size == 0:
+        return i_idx, ks, xs, exs
+    radius = max(radius, 1e-14)
+    sub = np.arange(xs.size) if alone is None else np.flatnonzero(~alone)
+    re_q = np.round(xs.real[sub] / radius).astype(np.int64)
+    im_q = np.round(xs.imag[sub] / radius).astype(np.int64)
+    order = np.lexsort((ks[sub], im_q, re_q, i_idx[sub]))
+    i_s, rq, iq = i_idx[sub][order], re_q[order], im_q[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = ~((i_s[1:] == i_s[:-1]) & (rq[1:] == rq[:-1]) & (iq[1:] == iq[:-1]))
+    kept = sub[order[first]]
+    if alone is not None:
+        kept = np.concatenate([np.flatnonzero(alone), kept])
+    i_s, k_s, x_s, e_s = i_idx[kept], ks[kept], xs[kept], exs[kept]
+    order = np.argsort(x_s, kind="stable")  # complex: real, then imaginary
+    order = order[np.argsort(i_s[order], kind="stable")]
+    i_s, k_s, x_s, e_s = i_s[order], k_s[order], x_s[order], e_s[order]
+    keep = np.ones(x_s.size, dtype=bool)
+    for off in (1, 2):
+        if x_s.size > off:
+            d = x_s[off:] - x_s[:-off]
+            im = d.imag - TWO_PI * np.round(d.imag / TWO_PI)
+            close = (i_s[off:] == i_s[:-off]) & (np.hypot(d.real, im) < radius)
+            keep[off:] &= ~close
+    return i_s[keep], k_s[keep], x_s[keep], e_s[keep]
+
+
 def preimage_arrays_reference(params, targets, kmax, tol=1e-11):
     """preimage_arrays(...) finished the reference way.
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,10 +216,15 @@ def test_numerical_failure_exit_code(tmp_path):
     ("half-im: ", ["sweep", "--half-im", "x"]),
     ("radius-eps: ", ["classify", "--res", "4x4", "--radius-eps", "x"]),
     ("c-radius: ", ["expansion", "--c-radius", "x"]),
+    ("c_radius", ["expansion", "--c-radius", "-0.1"]),
+    ("c_radius", ["expansion", "--c-radius", "0"]),
     ("center: ", ["sweep", "--center", "2+xi"]),
     ("c-end: ", ["continue-orbit", "--c-end", "zz"]),
     ("w: ", ["preimages", "--w", "inf"]),
     ("window: ", ["classify", "--res", "4x4", "--window", "a:b"]),
+    ("window nan:1 ", ["classify", "--res", "4x4", "--window", "nan:1"]),
+    ("window -inf:inf ", ["classify", "--res", "4x4", "--window", "-inf:inf"]),
+    ("window 3:-3 ", ["classify", "--res", "4x4", "--window", "3:-3"]),
     ("res: ", ["classify", "--res", "10x"]),
 ])
 def test_input_outside_the_domain_is_usage_error(tmp_path, name, argv, capsys):
@@ -412,3 +420,20 @@ def test_output_matches_golden_files(tmp_path, capsys):
     if "".join(printed) != (GOLDEN / "stdout.txt").read_text(encoding="utf-8"):
         differ.append("stdout.txt")
     assert differ == []
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    # every command-line run pays for what importing the package loads (the
+    # benchmark's setup_s times a fresh interpreter that does it), so no
+    # top-level module beyond the standard library and numpy, such as scipy
+    # or mpmath, may enter the import path
+    script = ("import sys\nbefore = set(sys.modules)\nimport bowendim\n"
+              "print(*sorted({m.partition('.')[0]\n"
+              "               for m in set(sys.modules) - before}))")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    loaded = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=120).stdout.split()
+    assert {"bowendim", "numpy"} <= set(loaded)
+    assert {m for m in loaded if m not in sys.stdlib_module_names} \
+        == {"bowendim", "numpy"}

@@ -74,7 +74,7 @@ def test_non_finite_pressure_is_a_numerical_failure(monkeypatch, bad):
     # a pressure that changes sign between 1.4 and 1.7 on the scan grid and
     # is not finite at the first bisection point: that must not move the
     # bracket as a sign would
-    def fake(params, t, z, n, K, prune, budget, *, children=None):
+    def fake(params, t, z, n, K, prune, budget, *, store=None):
         value = 1.46 - t if t in (1.05, 1.2, 1.4, 1.7) else bad
         return PressureEstimate(t, value, 1.0, n, K, prune)
 

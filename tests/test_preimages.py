@@ -17,7 +17,7 @@ from bowendim import (MapParams, canonical, cylinder_distance, defaults,
 from bowendim.errors import BranchMiss, InvalidTol, TNotSummable
 from bowendim.dimension import bowen_dimension
 from bowendim.preimages import _dedupe_sorted, _one_k_per_cell
-from oracles import (dedupe_reference, lift_root_oracle,
+from oracles import (dedupe_reference, dedupe_sorted_reference, lift_root_oracle,
                      newton_batch_reference, preimage_arrays_reference,
                      preimage_oracle)
 
@@ -402,6 +402,62 @@ def test_straggler_order_matches_lexsort():
     o = np.argsort(x_s, kind="stable")
     o = o[np.argsort(i_s[o], kind="stable")]
     assert np.array_equal(o, np.lexsort((x_s.imag, x_s.real, i_s)))
+
+
+def _dedupe_input(rng, n, n_targets, radius):
+    """Roots of n_targets targets, with planted equal real parts, +-0.0 in
+    both parts, exact duplicates, pairs just within the radius across a
+    cell boundary and pairs within the radius across the seam Im = +-pi;
+    entries with no other entry of their target within 4 radius in the
+    plane are flagged alone, nine in ten of them."""
+    re = np.where(rng.random(n) < 0.5, rng.choice([-1.5, -0.0, 0.0, 2.0], n),
+                  rng.uniform(-4, 4, n))
+    im = np.where(rng.random(n) < 0.5, rng.choice([-0.0, 0.0, 1.0, -3.0], n),
+                  rng.uniform(-3, 3, n))
+    dup = rng.integers(0, n, n // 10)
+    edge = (rng.integers(-1000, 1000, n // 10) + 0.5) * radius  # rounds up
+    edge = edge - 0.3 * radius + 1j * rng.uniform(-3, 3, edge.size)
+    seam = rng.uniform(-4, 4, n // 50) + 1j * (math.pi - 0.25 * radius)
+    xs = np.concatenate([re + 1j * im, (re + 1j * im)[dup],
+                         edge, edge + 0.6 * radius,
+                         seam, seam - 2j * math.pi + 0.5j * radius])
+    i_idx = rng.integers(0, n_targets, n)
+    pair, seam_pair = (rng.integers(0, n_targets, m.size) for m in (edge, seam))
+    i_idx = np.concatenate([i_idx, i_idx[dup], pair, pair, seam_pair, seam_pair])
+    ks = rng.integers(-40, 40, xs.size)
+    order = rng.permutation(xs.size)
+    i_idx, ks, xs = i_idx[order], ks[order], xs[order]
+    by = np.lexsort((xs.real, i_idx))
+    i_b, x_b = i_idx[by], xs[by]
+    crowded = np.zeros(xs.size, dtype=bool)
+    for off in range(1, xs.size):
+        same = (i_b[off:] == i_b[:-off]) \
+            & (np.abs(x_b.real[off:] - x_b.real[:-off]) < 4 * radius)
+        if not same.any():
+            break
+        near = same & (np.abs(x_b[off:] - x_b[:-off]) < 4 * radius)
+        crowded[by[off:][near]] = crowded[by[:-off][near]] = True
+    alone = ~crowded & (rng.random(xs.size) < 0.9)
+    return i_idx, ks, xs, xs * 2.0, alone
+
+
+@pytest.mark.parametrize("n_targets", [300, 70_000])
+def test_exact_pass_matches_the_two_sort_reference(n_targets):
+    # the exact pass sorts the real part unstably, the target by radix below
+    # 2^16 targets and by a stable int64 sort from there, then restores the
+    # input order in runs of equal (target, real part); an alone entry is
+    # compared only across the seam.  The output is the two-sort code's
+    rng = np.random.default_rng([20261020, n_targets])
+    radius = defaults.DEDUP_FACTOR * defaults.TOL
+    i_idx, ks, xs, exs, alone = _dedupe_input(rng, 30_000, n_targets, radius)
+    assert (np.ptp(i_idx) >= 1 << 16) == (n_targets > 1 << 16)
+    assert alone.sum() > 10_000
+    assert (alone & (np.abs(xs.imag) > math.pi - radius)).sum() > 400
+    for flags in (None, alone):
+        got = _dedupe_sorted(i_idx, ks, xs, exs, radius, flags)
+        ref = dedupe_sorted_reference(i_idx, ks, xs, exs, radius, flags)
+        _same_bits(got, ref)
+        assert got[0].size < xs.size - 3_000
 
 
 def test_dedupe_output_sorted_by_target_real_imag():

@@ -17,8 +17,9 @@ from bowendim import (MapParams, apply_transfer, bowen_dimension,
 from bowendim.errors import TNotSummable
 from bowendim.preimages import (k_secondary, preimage_arrays, tail_bound_value,
                                 tail_weight_bound)
-from bowendim.transfer import (ChildTable, LevelNodes, _grow, _Levels,
-                               _shadow_cycles, _sup_l1, _sup_l1_probe,
+from bowendim.dimension import _ATTEMPTS
+from bowendim.transfer import (ChildTable, LevelNodes, TreeStore, _grow,
+                               _Levels, _shadow_cycles, _sup_l1, _sup_l1_probe,
                                default_base_point)
 from oracles import (choose_threshold_reference, pair_count_reference,
                      preimage_oracle)
@@ -650,61 +651,21 @@ def _entry(table, z):
     return table.entries[tuple(np.array([z]).view(np.uint64).tolist())]
 
 
-def test_repeated_request_is_answered_whole(solved_pairs):
-    # a request repeated byte for byte (targets' bits and kmax, in order)
-    # gets the stored read-only columns back, with the table-less bits, and
-    # solves nothing; a request that differs in one kmax is served per target
-    p = MapParams(2, 2.0)
-    table = ChildTable(p, 1e-11)
-    targets, kmax = [0.3 + 1.1j, -1.0 - 2.0j, 0.3 + 1.1j], [40, 60, 20]
-    solved_pairs.append(0)
-    first = _table_solve(table, targets, kmax)
-    for again in range(2):
-        solved_pairs.append(0)
-        got = _table_solve(table, targets, kmax)
-        _same_bits(got, _tableless(p, targets, kmax))
-        assert solved_pairs[-1] == 0 and table.answered_whole == again + 1
-        assert all(g is f for g, f in zip(got[1:4], first[1:4]))
-        assert not any(col.flags.writeable for col in got[1:4] + got[5:])
-    solved_pairs.append(0)
-    _same_bits(_table_solve(table, targets, [40, 60, 21]),
-               _tableless(p, targets, [40, 60, 21]))
-    assert solved_pairs[-1] == 0 and table.answered_whole == 2
-    assert len(table.answers) == 2
-
-
-def test_repeat_returns_the_stored_arrays():
-    # a repeated request gets the answer's count and column arrays
-    # themselves, read-only: answering it whole allocates nothing per root
-    table = ChildTable(MapParams(2, 2.0), 1e-11)
-    targets, kmax = [0.3 + 1.1j, -1.0 - 2.0j], [40, 60]
-    first = _table_solve(table, targets, kmax)
-    again = _table_solve(table, targets, kmax)
-    (counts, misses), cols = table.answers[next(iter(table.answers))]
-    assert table.answered_whole == 1
-    for got in (first, again):
-        assert all(g is s for g, s in zip(got, (counts, *cols[:3], misses,
-                                                cols[3])))
-    assert not any(col.flags.writeable for col in again)
-
-
 def _held(table):
     """What a table holds: its counts, and the identity of every column."""
-    cols = [e[0] for e in table.entries.values()]
-    cols += [c for counts, ans in table.answers.values() for c in (*counts, ans)]
-    return (table.roots, len(table.entries), len(table.answers),
-            {id(c) for c in cols})
+    return (table.roots, len(table.entries),
+            {id(c) for e in table.entries.values() for c in e[0]})
 
 
 def test_second_tree_of_a_shape_adds_nothing(params22, base, solved_pairs):
-    # a tree that repeats an earlier tree's requests is answered whole at
-    # every level: no pair solved, no root stored, no column array made
+    # a tree that repeats an earlier tree's requests is served from the
+    # entries at every level: no pair solved, no root stored, no column
+    # array made
     table = ChildTable(params22, defaults.TOL)
     solved_pairs.append(0)
     first = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
                   children=table)
     held = _held(table)
-    assert table.answered_whole == 0 and held[2] == 3
     solved_pairs.append(0)
     again = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
                   children=table)
@@ -712,14 +673,14 @@ def test_second_tree_of_a_shape_adds_nothing(params22, base, solved_pairs):
     ref = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
                 children=_Tableless(params22))
     assert _tree_bits(again) == _tree_bits(first) == _tree_bits(ref)
-    assert solved_pairs[1] == 0 and table.answered_whole == 3
+    assert solved_pairs[1] == 0
     assert _held(table) == held
 
 
 def test_mixed_request_is_stored_once(monkeypatch, solved_pairs):
-    # a request of an exactly served, a wider-served and a new target: its
-    # answer is the storage of the new target's entry, the served entries
-    # stay, the solve's chunk is freed, and a repeat is answered whole
+    # a request of an exactly served, a wider-served and a new target: the
+    # new target's entry is a slice of the solve's own columns, the served
+    # entries stay, and a repeat is served target by target
     p = MapParams(2, 2.0)
     table = ChildTable(p, 1e-11)
     exact, wider, new = 0.3 + 1.1j, -1.0 - 2.0j, 2.0 + 0.2j
@@ -741,56 +702,79 @@ def test_mixed_request_is_stored_once(monkeypatch, solved_pairs):
     got = _table_solve(table, targets, kmax)
     _same_bits(got, _tableless(p, targets, kmax))
     assert solved_pairs[-1] == 61 and table.served_wider == 1
-    assert len(chunks) == 1 and chunks[0]() is None
-    assert len(table.answers) == 2
-    counts, cols = list(table.answers.values())[-1]
-    assert cols[1] is got[2]
+    assert len(chunks) == 1 and _entry(table, new)[0][1] is chunks[0]()
     assert all(_entry(table, z) is e for z, e in zip((exact, wider), kept))
-    assert _entry(table, new)[0] is cols
-    assert table.roots - roots == int(counts[0][2])
+    assert table.roots - roots == int(got[0][2])
     assert table.roots == sum(e[2] - e[1] for e in table.entries.values())
     solved_pairs.append(0)
     again = _table_solve(table, targets, kmax)
     _same_bits(again, got)
-    assert solved_pairs[-1] == 0 and table.answered_whole == 1
+    assert solved_pairs[-1] == 0 and table.served_wider == 2
 
 
-def test_bowen_dimension_answers_repeated_levels_whole(monkeypatch):
-    # at (2, 2) every tree after the first of its shape repeats that tree's
-    # requests: 81 of the 90 are answered whole, and the pairs solved are
-    # those of the table that served each target separately
-    tables = []
+def test_bowen_dimension_grows_each_row_once(monkeypatch):
+    # (2, 2) at 5e-3 evaluates ten values of t on two schedule rows: each
+    # row's tree is grown once, and only its levels choose a threshold; the
+    # 18 other trees are read from the records, and every one of the 20
+    # equals a tree grown afresh at its t
+    stores, choices, trees = [], [], []
 
-    class Recorded(ChildTable):
+    class Recorded(TreeStore):
         def __init__(self, *args):
             super().__init__(*args)
-            tables.append(self)
+            stores.append(self)
 
-    monkeypatch.setattr(dimension_mod, "ChildTable", Recorded)
+    choose = transfer_mod._choose_threshold
+    sums = transfer_mod.transfer_level_sums
+
+    def counted(*args):
+        choices.append(args[1])
+        return choose(*args)
+
+    def kept(params, t, z, n, K, prune, budget, *, store=None):
+        S = sums(params, t, z, n, K, prune, budget, store=store)
+        trees.append(((params, t, z, n, K, prune, budget), S))
+        return S
+
+    monkeypatch.setattr(dimension_mod, "TreeStore", Recorded)
+    monkeypatch.setattr(transfer_mod, "_choose_threshold", counted)
+    monkeypatch.setattr(transfer_mod, "transfer_level_sums", kept)
     bowen_dimension(MapParams(2, 2.0), 5e-3)
-    (table,) = tables
-    assert table.answered_whole == 81 and len(table.answers) == 9
+    (store,) = stores
+    assert (len(store.records), store.reads, len(trees)) == (2, 18, 20)
+    assert len(choices) == 9 and set(choices) == {trees[0][0][1]}
+    table = store.table
     assert table.pairs_solved == 587_339
     assert (len(table.entries), table.roots) == (6_363, 563_001)
+    fresh = ChildTable(store.table.params, defaults.TOL)  # no bit moves
+    for (params, t, z, n, K, prune, budget), S in trees:
+        ref = _grow(params, t, z, n, K, prune, budget, children=fresh)
+        assert repr(S) == repr(ref.weighted(n)), (t, n)
 
 
 def test_bowen_dimension_same_without_table(monkeypatch, caplog):
     p = MapParams(2, 2.0)
     with caplog.at_level(logging.DEBUG, logger="bowendim.dimension"):
         rec = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
-    # the debug line counts the requests served from a wider solve and
-    # those answered whole
+    # the debug line counts the trees grown and read, and the requests
+    # served from a wider solve
     (line,) = [r.getMessage() for r in caplog.records
                if r.getMessage().startswith("bowen_dimension")]
-    served = re.search(r"pairs solved, (\d+) requests served from a wider "
-                       r"solve, (\d+) answered whole", line)
-    assert served and int(served.group(1)) > 0 and int(served.group(2)) > 0
-    grow = transfer_mod._grow
+    counts = re.search(r"(\d+) trees grown, (\d+) read from their records; "
+                       r"\d+ of \d+ pairs solved, (\d+) requests served from "
+                       r"a wider solve", line)
+    # one schedule row, one tree per evaluation: the first grown, the rest
+    # read
+    assert counts and (int(counts.group(1)), int(counts.group(2))) \
+        == (1, rec.evaluations - 1)
+    assert int(counts.group(3)) > 0
 
-    def grow_without_table(params, *args, children=None, **kwargs):
-        return grow(params, *args, children=_Tableless(params), **kwargs)
+    def fresh_without_table(params, t, z, n, K, prune, budget, *, store=None):
+        return _grow(params, t, z, n, K, prune, budget,
+                     children=_Tableless(params)).weighted(n)
 
-    monkeypatch.setattr(transfer_mod, "_grow", grow_without_table)
+    # a tree grown afresh at each (row, t), with no table and no record
+    monkeypatch.setattr(transfer_mod, "transfer_level_sums", fresh_without_table)
     ref = bowen_dimension(p, 0.05, max_attempts=1, budget=50_000)
     assert repr(rec) == repr(ref)
 
@@ -807,8 +791,8 @@ def test_tree_solves_a_repeated_target_once(solved_pairs):
     solved_pairs.append(0)
     got = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000)
     solved_pairs.append(0)
-    ref = transfer_level_sums(p, 1.3, base, 3, 512, 1e-9, 100_000,
-                              children=_Tableless(p))
+    ref = _grow(p, 1.3, base, 3, 512, 1e-9, 100_000,
+                children=_Tableless(p)).weighted(3)
     assert solved_pairs[1:] == [82_208, 91_595]
     assert repr(got) == repr(ref)
 
@@ -827,7 +811,8 @@ def test_own_table_stores_no_last_level_solve(params22, base, monkeypatch):
     got = transfer_level_sums(params22, 1.5, base, 2, 64)
     (own,) = tables
     shared = ChildTable(params22, defaults.TOL)
-    ref = transfer_level_sums(params22, 1.5, base, 2, 64, children=shared)
+    ref = _grow(params22, 1.5, base, 2, 64, defaults.PRUNE, defaults.NODE_BUDGET,
+                children=shared).weighted(2)
     assert len(own.entries) == 1  # the base point, solved at level 1
     assert len(shared.entries) > 1
     assert repr(got) == repr(ref)
@@ -840,16 +825,21 @@ def test_prune_must_be_finite(params22, base, prune):
 
 
 def test_table_of_another_parameter_is_rejected(params22, base):
-    # a table's key leaves out the parameter: reading (2, 2)'s children at
-    # another c would give the (2, 2) sums
+    # a table's key leaves out the parameter: reading (2, 2)'s children, or
+    # a (2, 2) tree's record, at another c would give the (2, 2) sums
+    other = MapParams(2, 2.3 + 0.1j)
     table = ChildTable(params22, defaults.TOL)
-    transfer_level_sums(params22, 1.5, base, 2, 64, children=table)
+    _grow(params22, 1.5, base, 2, 64, 1e-9, 100_000, children=table)
     with pytest.raises(ValueError):
-        transfer_level_sums(MapParams(2, 2.3 + 0.1j), 1.5, base, 2, 64,
-                            children=table)
+        _grow(other, 1.5, base, 2, 64, 1e-9, 100_000, children=table)
     with pytest.raises(ValueError):
         _grow(params22, 1.5, base, 2, 64, 1e-9, 100_000, tol=1e-10,
               children=table)
+    store = TreeStore(params22, defaults.TOL)
+    transfer_level_sums(params22, 1.5, base, 2, 64, store=store)
+    for prune in (defaults.PRUNE, 1e-9):  # a recorded row, and a new one
+        with pytest.raises(ValueError):
+            transfer_level_sums(other, 1.7, base, 2, 64, prune, store=store)
 
 
 def test_lift_indices_fit_the_table(params22, base):
@@ -892,6 +882,48 @@ def test_grow_over_several_chunks(params22, base, monkeypatch):
                                    rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (5, 5.5), (16, 16.3)])
+def test_read_at_the_growth_t_is_the_growth(ell, c):
+    # a read runs _grow's own weight arithmetic on the record, so at the t
+    # the tree was grown at it gives every figure of the tree bit for bit:
+    # for the first two schedule rows grown in turn on one table, as a Bowen
+    # solve grows them (the second served in part from the first's
+    # entries), and against trees grown with no table or record
+    p = MapParams(ell, c)
+    base = default_base_point(p)
+    table = ChildTable(p, defaults.TOL)
+    for n, K, prune, budget in _ATTEMPTS[:2]:
+        record = []
+        grown = _grow(p, 1.3, base, n, K, prune, budget, children=table,
+                      record=record)
+        assert len(record) == n
+        read = _grow(p, 1.3, base, n, K, prune, budget, children=table,
+                     record=record)
+        ref = _grow(p, 1.3, base, n, K, prune, budget)
+        assert _tree_bits(read) == _tree_bits(grown) == _tree_bits(ref)
+    assert table.served_wider > 0
+
+
+@pytest.mark.parametrize("prune, budget", [(3e-3, 100_000), (1e-9, 50)])
+def test_read_ends_where_the_growth_did(params22, base, prune, budget):
+    # at t = 1.5 the first tree keeps nothing of level 2, so level 3 is
+    # empty, and the second overruns its budget at level 2; a read at 1.5
+    # gives the tree, and one at 1.2 ends at the same level
+    table = ChildTable(params22, defaults.TOL)
+    record = []
+    grown = _grow(params22, 1.5, base, 4, 64, prune, budget, children=table,
+                  record=record)
+    assert grown.budget_exceeded and len(grown.values) == 3
+    read = _grow(params22, 1.5, base, 4, 64, prune, budget, children=table,
+                 record=record)
+    ref = _grow(params22, 1.5, base, 4, 64, prune, budget)
+    assert _tree_bits(read) == _tree_bits(grown) == _tree_bits(ref)
+    other = _grow(params22, 1.2, base, 4, 64, prune, budget, children=table,
+                  record=record)
+    assert other.budget_exceeded and len(other.values) == 3
+    assert other.stored == grown.stored
+
+
 def test_shadow_cycles_empty_leaf(params22):
     lv = _Levels(params22, 1.5, 100)
     empty = LevelNodes(np.empty(0, complex), np.empty(0, np.int64),
@@ -912,9 +944,11 @@ def _same_choice(got, ref):
                     for g, r in zip(got[1:], (ref[1], ref[2][ref[1]]))))
 
 
-def test_threshold_matches_reference_in_a_bowen_solve(monkeypatch):
-    # every level of a real Bowen solve, and the exact count runs on fewer
-    # than half the steps of each bisection
+def test_threshold_matches_reference_in_grown_trees(monkeypatch, params22,
+                                                    base):
+    # every level of the first schedule row's tree at the t a Bowen solve
+    # evaluates, and the exact count runs on fewer than half the steps of
+    # each bisection
     choose, count = transfer_mod._choose_threshold, transfer_mod._pair_count
     calls = []
 
@@ -931,7 +965,9 @@ def test_threshold_matches_reference_in_a_bowen_solve(monkeypatch):
 
     monkeypatch.setattr(transfer_mod, "_pair_count", counted)
     monkeypatch.setattr(transfer_mod, "_choose_threshold", spy)
-    bowen_dimension(MapParams(2, 2.0), 0.05, max_attempts=1, budget=50_000)
+    n, K, prune, _ = _ATTEMPTS[0]
+    for t in (1.05, 1.2, 1.4, 1.55, 1.7, 2.0):
+        _grow(params22, t, base, n, K, prune, 50_000)
     assert all(same for same, _, _ in calls)
     bisecting = [(len(steps), exact) for _, steps, exact in calls if steps]
     assert len(bisecting) >= 10
