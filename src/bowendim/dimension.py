@@ -44,6 +44,8 @@ def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
         raise ValueError("pressure is defined for t > 1")
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     base = default_base_point(params) if z is None else complex(z)
     best = None
     for n, K, prune, nodes in _ATTEMPTS[:max_attempts]:
@@ -102,6 +104,8 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     """
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     base = default_base_point(params)
     evals = 0
     trace = []

@@ -176,6 +176,10 @@ def expansion_constants(params: MapParams, c_radius: float, samples: int,
     if not 0 < c_radius < math.inf:
         raise ValueError(f"c_radius must be finite and > 0, got {c_radius:g}")
     cs = [params.c] + [params.c + c_radius * 1j ** j for j in range(4)]
+    # the test MapParams makes of each window point, before any solve
+    if not all(abs(c - params.ell) < 1.0 for c in cs[1:]):
+        raise ValueError(f"c_radius={c_radius:g} takes the window around "
+                         f"c={params.c} beyond the disk D({params.ell}, 1)")
     per_param = max(2, samples // len(cs))
     pool = {n: [] for n in range(1, n_max + 1)}
     count = 0

@@ -424,95 +424,33 @@ def _pair_count(w, t, K, k_lo, p):
     return float((2 * np.minimum(km[keep], K) + 1).sum()), cand, km
 
 
-# Bounds on _pair_count(p) from u = w^(1/t), sorted, with eps = 2^-52.  A
-# kept node counts 2 c (w/p)^(1/t) + 1, which is also 2 u / s + 1 with
-# s = p^(1/t) / c; pow is within an ulp or two and every other operation
-# within half of one, so the two ways of rounding it differ by under 10 eps.
-# Both sums add non-negative terms by numpy's pairwise summation, in which no
-# term meets more than log2(n) + 19 additions, so each is within
-# (log2 n + 19) eps of its exact value: 1.3e-14 for a level of 2^40 nodes.
-# _MARGIN widens both bounds past the sum of the two errors.
-# The keep test c (w/p)^(1/t) >= k_lo is rounded within 2 eps of its exact
-# value, and the same test made on u within 4 eps, both measured in kmax; a
-# node within _BAND of k_lo may fall on either side of the test, so it
-# enters the upper bound only.
-_BAND = 1e-14
-_MARGIN = 1e-13
-
-
-def _pair_bounds(w, t, K, k_lo):
-    """bounds(p) -> (lo, hi) that enclose _pair_count's pairs at threshold p,
-    from one pow and one sort of the level; (0, inf) where some w / p is not
-    a finite float."""
-    c = defaults.C_GEO / TWO_PI
-    u = w ** (1.0 / t)
-    u.sort()
-    n, w_max = u.size, float(w.max())
-
-    @functools.cache
-    def total(i, m):  # most steps of a bisection ask for a range again
-        return float(u[i:m].sum())
-
-    def bounds(p):
-        if not (p > 0.0 and w_max / p < math.inf):
-            return 0.0, math.inf
-        s = p ** (1.0 / t) / c  # a node's kmax is u / s
-        # nodes a.. may be kept, nodes b.. are, nodes j.. are clipped at K
-        a, b, j = np.searchsorted(u, ((1.0 - _BAND) * k_lo * s,
-                                      (1.0 + _BAND) * k_lo * s, K * s)).tolist()
-
-        def pairs(i):  # nodes i.. kept
-            m = max(i, j)
-            return (n - m) * (2 * K + 1) + 2.0 * total(i, m) / s + (m - i)
-        return pairs(b) * (1.0 - _MARGIN), pairs(a) * (1.0 + _MARGIN)
-    return bounds
-
-
 def _choose_threshold(w, t, K, k_lo, p_floor, cap):
     """Smallest threshold >= p_floor whose expansion fits in `cap` pairs.
 
     A node of weight w gets kmax = min((C/2pi)(w/p)^(1/t), K) branches and
     is dropped entirely when the unclipped value falls below k_lo.  The
     threshold is p_floor if that fits, else the end of 60 geometric
-    bisection steps; each test, p_floor's included, is decided from
-    _pair_bounds where they leave no doubt, and by the exact count only
-    where they straddle cap, so the result is the exact bisection's bit for
-    bit.  Returns (p, keep, kmax): the threshold, the level's mask of kept
-    nodes, and the kept nodes' kmax in level order.
+    bisection steps, each on the exact pair count (_pair_count).  Returns
+    (p, keep, kmax): the threshold, the level's mask of kept nodes, and the
+    kept nodes' kmax in level order.
     """
-    bounds = _pair_bounds(w, t, K, k_lo)
-
-    def over(p):
-        """(pairs(p) > cap, the exact count's (cand, km) if one was made)"""
-        least, most = bounds(p)
-        if least > cap:
-            return True, None
-        if most <= cap:
-            return False, None
-        count, cand, km = _pair_count(w, t, K, k_lo, p)
-        return count > cap, (cand, km)
-
     p = p_floor
-    floor_over, counted = over(p_floor)
-    if floor_over:
-        counted = None  # from the exact count at hi, if hi had one
+    count, cand, km = _pair_count(w, t, K, k_lo, p)
+    if count > cap:
         c = defaults.C_GEO / TWO_PI
         lo, hi = p_floor, float(w.max()) * (k_lo / c) ** (-t) * 2.0
-        hi_decided = False
         for _ in range(60):
             mid = math.sqrt(lo * hi)
-            # lo is over cap and a decided hi is not, so a step onto either
-            # changes nothing, and neither does any step after it
-            if mid == lo or (mid == hi and hi_decided):
+            # lo is over cap and hi is not (the first hi keeps no node), so a
+            # step onto either changes nothing, nor does any step after it
+            if mid == lo or mid == hi:
                 break
-            mid_over, at_mid = over(mid)
-            if mid_over:
+            if _pair_count(w, t, K, k_lo, mid)[0] > cap:
                 lo = mid
             else:
-                hi, counted, hi_decided = mid, at_mid, True
+                hi = mid
         p = hi
-    cand, km = counted if counted is not None \
-        else _pair_count(w, t, K, k_lo, p)[1:]
+        _, cand, km = _pair_count(w, t, K, k_lo, p)
     kept = km >= k_lo
     keep = np.zeros(w.size, dtype=bool)
     keep[cand] = kept
@@ -595,6 +533,9 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError(f"prune must be finite and >= 0, got {prune}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
+    if not np.isfinite(base):
+        raise ValueError(f"base point z must be finite, got {base}")
     own_table = children is None
     if own_table:
         children = ChildTable(params, tol)
@@ -602,7 +543,6 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError("the children table belongs to another parameter "
                          "or tolerance")
     read = bool(record)
-    base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
     k_lo = min(defaults.k_min(params.ell, params.c), K)
 
     lv = _Levels(params, t, int(budget))

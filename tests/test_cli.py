@@ -218,6 +218,7 @@ def test_numerical_failure_exit_code(tmp_path):
     ("c-radius: ", ["expansion", "--c-radius", "x"]),
     ("c_radius", ["expansion", "--c-radius", "-0.1"]),
     ("c_radius", ["expansion", "--c-radius", "0"]),
+    ("c_radius", ["expansion", "--c-radius", "5"]),
     ("center: ", ["sweep", "--center", "2+xi"]),
     ("c-end: ", ["continue-orbit", "--c-end", "zz"]),
     ("w: ", ["preimages", "--w", "inf"]),

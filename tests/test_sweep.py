@@ -96,6 +96,11 @@ def test_expansion_validates_inputs(params22):
         expansion_constants(params22, 0.1, 5, 10)
     with pytest.raises(ValueError):
         expansion_constants(params22, 0.1, 50, 3)
+    # a window point outside D(ell, 1) is refused before any solve; at
+    # c = 2.9 the radius 0.1 puts one on the disk's edge
+    for c, radius in ((2.0, 5.0), (2.0, 1.0), (2.9, 0.1)):
+        with pytest.raises(ValueError, match="c_radius"):
+            expansion_constants(MapParams(2, c), radius, 50, 10)
 
 
 def _synthetic_grid(fn, n=6, center=2 + 0j, half=0.25):
@@ -135,6 +140,12 @@ def test_grid_needs_a_cell(nx, ny):
 def test_sweep_margin_enforced():
     with pytest.raises(ValueError):
         sweep_dimension(2, GridSpec.square(2.0, 0.99, 3), 0.1)
+
+
+def test_sweep_needs_an_attempt():
+    # every cell would fail with no estimate; the sweep refuses the count
+    with pytest.raises(ValueError, match="max_attempts"):
+        sweep_dimension(2, GridSpec.square(2.0, 0.25, 3), 0.1, max_attempts=0)
 
 
 def test_sweep_5x5_records_and_diagnostics(params22):

@@ -12,8 +12,8 @@ import pytest
 from bowendim import (MapParams, apply_transfer, bowen_dimension,
                       conformal_atoms, cylinder_distance, defaults,
                       eigenfunction_iterate, evaluate, fixed_points,
-                      periodic_points, pressure_ratio, transfer_level_sums,
-                      zeta_pressure)
+                      periodic_points, pressure, pressure_ratio,
+                      transfer_level_sums, zeta_pressure)
 from bowendim.errors import TNotSummable
 from bowendim.preimages import (k_secondary, preimage_arrays, tail_bound_value,
                                 tail_weight_bound)
@@ -824,6 +824,18 @@ def test_prune_must_be_finite(params22, base, prune):
         transfer_level_sums(params22, 1.5, base, 2, 64, prune)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0.0, math.inf)])
+def test_base_point_must_be_finite(params22, z):
+    # a base point that is not finite has no preimages to sum; every entry
+    # that grows a tree from a given point refuses it
+    with pytest.raises(ValueError, match="finite"):
+        transfer_level_sums(params22, 1.5, z, 2, 16)
+    with pytest.raises(ValueError, match="finite"):
+        eigenfunction_iterate(params22, 1.5, [z], 2, 16)
+    with pytest.raises(ValueError, match="finite"):
+        pressure(params22, 1.5, 0.1, z=z)
+
+
 def test_table_of_another_parameter_is_rejected(params22, base):
     # a table's key leaves out the parameter: reading (2, 2)'s children, or
     # a (2, 2) tree's record, at another c would give the (2, 2) sums
@@ -944,34 +956,48 @@ def _same_choice(got, ref):
                     for g, r in zip(got[1:], (ref[1], ref[2][ref[1]]))))
 
 
-def test_threshold_matches_reference_in_grown_trees(monkeypatch, params22,
-                                                    base):
-    # every level of the first schedule row's tree at the t a Bowen solve
-    # evaluates, and the exact count runs on fewer than half the steps of
-    # each bisection
-    choose, count = transfer_mod._choose_threshold, transfer_mod._pair_count
-    calls = []
-
-    def counted(*args):
-        calls[-1][2] += 1
-        return count(*args)
+@pytest.fixture
+def audited_thresholds(monkeypatch):
+    """Every threshold choice, checked against choose_threshold_reference:
+    a list that receives per call (bit-equal, bisection steps)."""
+    choose, calls = transfer_mod._choose_threshold, []
 
     def spy(w, t, K, k_lo, p_floor, cap):
-        calls.append([None, [], 0])
+        steps = []
         got = choose(w, t, K, k_lo, p_floor, cap)
-        ref = choose_threshold_reference(w, t, K, k_lo, p_floor, cap, calls[-1][1])
-        calls[-1][0] = _same_choice(got, ref)
+        ref = choose_threshold_reference(w, t, K, k_lo, p_floor, cap, steps)
+        calls.append((_same_choice(got, ref), len(steps)))
         return got
 
-    monkeypatch.setattr(transfer_mod, "_pair_count", counted)
     monkeypatch.setattr(transfer_mod, "_choose_threshold", spy)
+    return calls
+
+
+def test_threshold_matches_reference_in_grown_trees(audited_thresholds,
+                                                    params22, base):
+    # every level of the first schedule row's tree at the t a Bowen solve
+    # evaluates
     n, K, prune, _ = _ATTEMPTS[0]
     for t in (1.05, 1.2, 1.4, 1.55, 1.7, 2.0):
         _grow(params22, t, base, n, K, prune, 50_000)
-    assert all(same for same, _, _ in calls)
-    bisecting = [(len(steps), exact) for _, steps, exact in calls if steps]
-    assert len(bisecting) >= 10
-    assert all(exact < steps / 2 for steps, exact in bisecting)
+    assert all(same for same, _ in audited_thresholds)
+    assert sum(steps > 0 for _, steps in audited_thresholds) >= 10
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (5, 5.5), (16, 16.3)])
+def test_threshold_matches_reference_in_bowen_rows(audited_thresholds, ell, c):
+    # every level of the first two schedule rows' trees as a Bowen solve
+    # grows them, at its first t, 1.05, on one table: each tree's first
+    # level fits at p_floor, and every later one bisects
+    p = MapParams(ell, c)
+    base = default_base_point(p)
+    store = TreeStore(p, defaults.TOL)
+    bisects = []
+    for n, K, prune, budget in _ATTEMPTS[:2]:
+        transfer_level_sums(p, 1.05, base, n, K, prune, budget, store=store)
+        bisects += [False] + [True] * (n - 1)
+    assert all(same for same, _ in audited_thresholds)
+    assert [steps > 0 for _, steps in audited_thresholds] == bisects
 
 
 def _ulps_around(v, n):
