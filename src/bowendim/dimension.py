@@ -29,6 +29,13 @@ _ATTEMPTS = ((4, 512, 1e-9, 250_000),
              (7, 16384, 1e-14, 12_000_000))
 
 
+def _check_attempts(max_attempts):
+    """An attempt count slices the schedule: an integer >= 1, or ValueError."""
+    if not hasattr(max_attempts, "__index__") or max_attempts < 1:
+        raise ValueError(f"max_attempts must be an integer >= 1, "
+                         f"got {max_attempts!r}")
+
+
 def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
              max_attempts: int = len(_ATTEMPTS),
              budget: int = None, store: TreeStore = None) -> PressureEstimate:
@@ -44,8 +51,7 @@ def pressure(params: MapParams, t: float, accuracy: float, *, z=None,
         raise ValueError("pressure is defined for t > 1")
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    _check_attempts(max_attempts)
     base = default_base_point(params) if z is None else complex(z)
     best = None
     for n, K, prune, nodes in _ATTEMPTS[:max_attempts]:
@@ -104,8 +110,7 @@ def bowen_dimension(params: MapParams, accuracy: float = defaults.ACCURACY,
     """
     if not 0 < accuracy < math.inf:
         raise ValueError(f"accuracy must be positive and finite, got {accuracy}")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+    _check_attempts(max_attempts)
     base = default_base_point(params)
     evals = 0
     trace = []

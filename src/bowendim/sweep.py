@@ -143,18 +143,13 @@ def _tree_observations(params, n_max, per_param, tol):
     nodes = lv.nodes
     if len(nodes) <= depth or nodes[depth] is None:
         return obs
-    # cumulative log-derivative down the tree
-    cums = [np.zeros(1)]
-    for d in range(1, depth + 1):
-        cums.append(cums[d - 1][nodes[d].parent] + np.log(nodes[d].dabs))
     leaf = nodes[depth]
     order = np.lexsort((leaf.x.imag, leaf.x.real))
     take = order[:: max(1, order.size // per_param)][:per_param]
     idx = take
-    cum_here = cums[depth][take]
     for j in range(1, depth + 1):
         idx = nodes[depth - j + 1].parent[idx]
-        obs[j].extend((cum_here - cums[depth - j][idx]).tolist())
+        obs[j].extend((leaf.lam[take] - nodes[depth - j].lam[idx]).tolist())
     return obs
 
 
@@ -229,6 +224,10 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("center", "half_re", "half_im"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid needs nx >= 1 and ny >= 1, got "
                              f"nx={self.nx}, ny={self.ny}")

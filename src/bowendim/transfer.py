@@ -22,19 +22,23 @@ branch's |F'| from below, so per t two rounds find the maximum: the probe
 with the largest first-stage sum is solved to 256, then every probe whose
 bound reaches that sum; a probe solved to 256 is kept for every later t.
 
-Every tree's branch solves go through a ChildTable, which keeps one entry
-per solved target, its roots and |F'| from the widest solve so far, and
-serves every later call for that target whose truncation lies between the
+Every tree node carries lam = log|(F^j)'| along its path, so on a fixed
+tree each level sum is a sum of exp(-t lam).  Each level asks a ChildTable
+for its kept nodes' branches in one request; the table keeps one entry per
+solved target, its roots and |F'| from the widest solve so far, and serves
+every later call for that target whose truncation lies between the
 target's k_secondary and that width; a table belongs to one parameter and
 one tolerance.  bowen_dimension keeps a TreeStore: one table, and per
 schedule row the record of the tree grown at the first t that asks for the
-row.  Every later t reads that tree from its record, taking each weight,
-sum, cut and miss estimate at t by the growth's own arithmetic, with no
-threshold choice and no solve; the cuts themselves are the first t's.  A
-row's tree draws on the branches an earlier row's solved.  Any other tree
-is grown at its t with a table of its own, which still solves the base
-point's fixed-point preimage, found again at every level, only once.  The
-sup probe keeps its probes solved to 256 in a table of its own.
+row, per level the cuts, the kmax and the lam of the children and misses
+as flat arrays.  Every later t reads that tree from its record, taking
+each weight, sum, cut and miss estimate at t by the growth's own
+arithmetic, with no threshold choice and no solve; the cuts themselves are
+the first t's.  A row's tree draws on the branches an earlier row's
+solved.  Any other tree is grown at its t with a table of its own, which
+still solves the base point's fixed-point preimage, found again at every
+level, only once.  The sup probe keeps its probes solved to 256 in a table
+of its own.
 """
 
 from __future__ import annotations
@@ -228,6 +232,20 @@ def _sup_l1(params: MapParams, t: float) -> float:
 
 # ------------------------------------------------------------- tree builder
 
+def _chunks(kk):
+    """The slices of a request's targets (kmax kk) that ChildTable.solve
+    solves together: as many targets as fit in _PAIR_CHUNK pairs, and at
+    least one."""
+    csum = np.cumsum(2 * kk + 1)
+    start = 0
+    while start < kk.size:
+        hi = int(np.searchsorted(csum, (csum[start - 1] if start else 0)
+                                 + _PAIR_CHUNK, side="left")) + 1
+        sl = slice(start, min(max(hi, start + 1), kk.size))
+        yield sl
+        start = sl.stop
+
+
 class ChildTable:
     """The solved branches of every target of one parameter and tolerance,
     for one Bowen solve, one tree or one sup probe.
@@ -271,8 +289,15 @@ class ChildTable:
         """(n, k, x, |F'|, n_miss, missed k): preimage_arrays(params,
         targets, kmax, tol=tol) with each row's root count n and miss count
         n_miss in place of the parent indices, k as int16 and |F'| in place
-        of F', solving only the targets the table cannot serve; kmax is an
-        int64 array.  Every array is read-only."""
+        of F', solving only the targets the table cannot serve, in pieces
+        of at most _PAIR_CHUNK pairs (one target at least); kmax is an int64
+        array.  Every array is read-only."""
+        if not targets.size:
+            cols = tuple(np.zeros(0, dt) for dt in (
+                np.int64, np.int16, complex, float, np.int64, np.int64))
+            for col in cols:
+                col.flags.writeable = False
+            return cols
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
         self.pairs_requested += int((2 * kmax + 1).sum())
         keys = list(map(tuple, bits.tolist()))
@@ -288,9 +313,9 @@ class ChildTable:
             if row is None:
                 todo.append(j)
         self.served_wider += wider
-        store = self.roots < limit
-        if todo:
-            sub = np.array(todo)
+        for sl in _chunks(kmax[todo]):
+            sub = np.array(todo[sl])
+            store = self.roots < limit
             self.pairs_solved += int((2 * kmax[sub] + 1).sum())
             si, sk, sx, sd, smi, smk = preimage_arrays(
                 self.params, targets[sub], kmax[sub], tol=self.tol)
@@ -304,7 +329,7 @@ class ChildTable:
             cut = np.searchsorted(si, np.arange(sub.size + 1)).tolist()
             mcut = np.searchsorted(smi, np.arange(sub.size + 1)).tolist()
             del si, sk, sd, smi, smk
-            for r, (j, ks) in enumerate(zip(todo, k_sec.tolist())):
+            for r, (j, ks) in enumerate(zip(sub.tolist(), k_sec.tolist())):
                 rows[j] = (cols, cut[r], cut[r + 1], mcut[r], mcut[r + 1],
                            kms[j], ks)
                 if store:
@@ -398,8 +423,7 @@ class LevelNodes:
     x: np.ndarray
     k: np.ndarray
     parent: np.ndarray
-    dabs: np.ndarray
-    w: np.ndarray
+    lam: np.ndarray  # log|(F^j)'| along the path from the base point
 
 
 def _pair_count(w, t, K, k_lo, p):
@@ -457,70 +481,47 @@ def _choose_threshold(w, t, K, k_lo, p_floor, cap):
     return p, keep, np.minimum(km[kept], K).astype(np.int64)
 
 
-def _chunks(kk):
-    """The slices of a level's kept nodes (kmax kk) solved together: as many
-    nodes as fit in _PAIR_CHUNK pairs, and at least one."""
-    csum = np.cumsum(2 * kk + 1)
-    start = 0
-    while start < kk.size:
-        hi = int(np.searchsorted(csum, (csum[start - 1] if start else 0)
-                                 + _PAIR_CHUNK, side="left")) + 1
-        sl = slice(start, min(max(hi, start + 1), kk.size))
-        yield sl
-        start = sl.stop
+def _weigh(wk, kk, t, lam_c, lam_m, keep_c, cut):
+    """One level's sums at t: (S_j, its tail cut, its dust, the mask of the
+    children kept).
 
-
-def _weigh(wk, kk, t, chunks, cut):
-    """One level's sums at t from its kept nodes' weights wk and kmax kk:
-    (S_j, its tail cut, its dust, its misses, and per chunk the children's
-    weights and the mask of those kept).
-
-    chunks holds, per slice of _chunks(kk), the children's counts and |F'|
-    as ChildTable.solve returns them, the miss counts, the missed k and the
-    mask of the children kept, or None where the children whose weight
-    reaches cut are kept.  Growth and reads both weigh a level here.
+    wk and kk are the kept nodes' weights and kmax, and lam_c and lam_m the
+    lam of their children and of their misses; keep_c is the mask of the
+    children kept, or None where the children whose weight reaches cut are
+    kept.  Growth and reads both weigh a level here.
     """
-    tail_cut = float((wk * tail_bound_value(kk, t)).sum())
-    value = dust = 0.0
-    misses = 0
-    weights, masks = [], []
-    for sl, (cn, cdabs, mn, mk, keep_c) in zip(_chunks(kk), chunks):
-        cw = np.repeat(wk[sl], cn) * cdabs ** (-t)
-        if mk.size:
-            misses += int(mk.size)
-            est = np.repeat(wk[sl], mn) \
-                * (TWO_PI * np.abs(mk) / defaults.C_GEO) ** (-t)
-            tail_cut += float(est.sum())
-        value += float(cw.sum())
-        if keep_c is None:
-            keep_c = cw >= cut
-        dust += float(cw[~keep_c].sum())
-        weights.append(cw)
-        masks.append(keep_c)
-    return value, tail_cut, dust, misses, weights, masks
+    cw = np.exp(-t * lam_c)
+    if keep_c is None:
+        keep_c = cw >= cut
+    tail_cut = float((wk * tail_bound_value(kk, t)).sum()) \
+        + float(np.exp(-t * lam_m).sum())
+    return float(cw.sum()), tail_cut, float(cw[~keep_c].sum()), keep_c
 
 
 def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
           children=None, record=None):
     """The preimage tree of z at t, n levels deep, grown breadth first.
 
-    Each level chooses its threshold (_choose_threshold) and cuts the nodes
-    below it, solves the kept nodes' branches |k| <= kmax through
-    `children` (a ChildTable; without one the tree gets a table of its own)
-    in chunks of about _PAIR_CHUNK pairs, and keeps as the next level the
+    Every node carries lam = log|(F^j)'| along its path from z (0 at z),
+    and weighs exp(-t lam) at t.  Each level chooses its threshold
+    (_choose_threshold) and cuts the nodes below it, solves the kept nodes'
+    branches |k| <= kmax in one request to `children` (a ChildTable; without
+    one the tree gets a table of its own), and keeps as the next level the
     children whose weight reaches a quarter of the threshold; the others
-    are dust, cut on entering the next level.
+    are dust, cut on entering the next level.  A child's lam is its parent's
+    plus log|F'|, and a missed branch k is weighed at lam = its parent's plus
+    log(2pi|k|/C_GEO).
 
     `record`, a list, lets a tree be grown once and read at later t.  An
-    empty one receives per level what another t needs: the kept mask, the
-    kept nodes' kmax, and per chunk the children's counts and |F'|, the miss
-    counts, the missed k and the mask of the children kept.  A filled one is
-    read at t: no threshold is chosen and nothing is solved, but every sum,
-    cut and miss estimate is taken at t by the same steps (_weigh), so a
-    read at the growth's own t has the growth's bits.  Only the choice of
-    the nodes cut comes from the t the tree was grown at; the mass they
-    carry at t is ledgered as ever, and the read ends where the growth did,
-    on an empty level, the budget or the last level.
+    empty one receives per level what another t needs, as flat arrays: the
+    kept mask, the kept nodes' kmax, the lam of the children and of the
+    misses, and the mask of the children kept.  A filled one is read at t:
+    no threshold is chosen and nothing is solved, but every sum, cut and
+    miss estimate is taken at t by the same steps (_weigh), so a read at the
+    growth's own t has the growth's bits.  Only the choice of the nodes cut
+    comes from the t the tree was grown at; the mass they carry at t is
+    ledgered as ever, and the read ends where the growth did, on an empty
+    level, the budget or the last level.
     """
     check_t(t)
     if n < 1:
@@ -547,21 +548,22 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
 
     lv = _Levels(params, t, int(budget))
     x = np.array([base], dtype=np.complex128)
-    w = np.array([1.0])
+    lam = np.zeros(1)
     lv.values.append(1.0)
     lv.stored = 1
     if keep_nodes:
         lv.nodes.append(LevelNodes(x.copy(), np.zeros(1, np.int64),
-                                   np.full(1, -1, np.int64), np.ones(1), w.copy()))
+                                   np.full(1, -1, np.int64), lam))
     carry_cut = 0.0
     for depth in range(1, n + 1):
-        if w.size == 0:
+        if lam.size == 0:
             lv.budget_exceeded = True
             break
         # the last level's children are only counted, unless nodes are kept
         store = depth < n or keep_nodes
+        w = np.exp(-t * lam)
         if read:
-            keep, kk, chunks = record[depth - 1]
+            keep, kk, lam_c, lam_m, keep_c = record[depth - 1]
         else:
             s_prev = lv.values[-1]
             p_floor = max(prune * s_prev, 1e-300)
@@ -572,28 +574,28 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
                       / (2.0 ** (n - depth + 1) - 1.0), 4.0 * k_lo + 2)
             p_abs, keep, kk = _choose_threshold(w, t, K, k_lo, p_floor, cap)
         parent_cut = carry_cut + float(w[~keep].sum())
-        w = w[keep]  # the level is freed before its children are solved
+        w, lam = w[keep], lam[keep]
         if not read:
             if keep_nodes:  # parent pointers index the full level
                 kept_idx = np.flatnonzero(keep)
-            x = x[keep]
+            x = x[keep]  # the level is freed before its children are solved
             # a table of this tree's own is never read after its last level
             limit = 0 if own_table and depth == n else lv.budget
-            solved = [children.solve(x[sl], kk[sl], limit)
-                      for sl in _chunks(kk)]
-            del x  # the next level's come from the solves
-            chunks = [(cn, cdabs, mn, mk, None)
-                      for cn, _, _, cdabs, mn, mk in solved]
-        value, tail_cut, carry_cut, misses, weights, masks = _weigh(
-            w, kk, t, chunks, None if read else p_abs * 0.25)
+            cn, ck, cx, cdabs, mn, mk = children.solve(x, kk, limit)
+            del x  # the next level's come from the solve
+            lam_c = np.repeat(lam, cn) + np.log(cdabs)
+            lam_m = np.repeat(lam, mn) \
+                + np.log(TWO_PI * np.abs(mk) / defaults.C_GEO)
+            keep_c = None
+        value, tail_cut, carry_cut, keep_c = _weigh(
+            w, kk, t, lam_c, lam_m, keep_c, None if read else p_abs * 0.25)
         if record is not None and not read:
-            record.append((keep, kk, [(*chunk[:4], keep_c) for chunk, keep_c
-                                      in zip(chunks, masks)]))
+            record.append((keep, kk, lam_c, lam_m, keep_c))
         lv.values.append(value)
         lv.parent_cuts.append(parent_cut)
         lv.tail_cuts.append(tail_cut)
-        lv.misses += misses
-        n_children = sum(int(keep_c.sum()) for keep_c in masks)
+        lv.misses += lam_m.size
+        n_children = int(keep_c.sum())
         if lv.stored + n_children > lv.budget:
             lv.budget_exceeded = True
             if keep_nodes:
@@ -602,23 +604,14 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         lv.stored += n_children
         if not store:
             break
-        # the next level; what it is made from is freed before its solves
-        w = np.concatenate([np.empty(0)] + [cw[keep_c] for cw, keep_c
-                                            in zip(weights, masks)])
-        del weights
+        lam = lam_c[keep_c]
         if read:
             continue
-        x = np.concatenate([np.empty(0, complex)] + [
-            cx[keep_c] for (_, _, cx, *_), keep_c in zip(solved, masks)])
+        x = cx[keep_c]
         if keep_nodes:
-            parent, k, dabs = (np.concatenate(parts) for parts in zip(
-                (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0)),
-                *[(np.repeat(kept_idx[sl], cn)[keep_c],
-                   ck[keep_c].astype(np.int64), cdabs[keep_c])
-                  for sl, (cn, ck, _, cdabs, _, _), keep_c
-                  in zip(_chunks(kk), solved, masks)]))
-            lv.nodes.append(LevelNodes(x, k, parent, dabs, w))
-        del solved, chunks
+            lv.nodes.append(LevelNodes(x, ck[keep_c].astype(np.int64),
+                                       np.repeat(kept_idx, cn)[keep_c], lam))
+        del cn, ck, cx, cdabs, mn, mk, lam_c, lam_m
     return lv
 
 
@@ -906,7 +899,7 @@ def conformal_atoms(params: MapParams, t: float, P: float, base, depth: int,
     if lv.budget_exceeded or lv.nodes[depth] is None or lv.nodes[depth].x.size == 0:
         raise NumericsError("conformal_atoms: enumeration exhausted the budget")
     leaf = lv.nodes[depth]
-    masses = leaf.w * math.exp(depth * P)
+    masses = np.exp(depth * P - t * leaf.lam)
     masses = masses / masses.sum()
     return AtomicMeasure(leaf.x.copy(), masses, t, depth,
                          CylinderPoint.from_complex(b))

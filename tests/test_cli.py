@@ -214,6 +214,8 @@ def test_numerical_failure_exit_code(tmp_path):
     ("K must be <= 32767", ["preimages", "--w", "0", "--K", "1" + "0" * 15]),
     ("half-re: ", ["sweep", "--half-re", "x"]),
     ("half-im: ", ["sweep", "--half-im", "x"]),
+    ("half_re", ["sweep", "--half-re", "nan"]),
+    ("half_im", ["sweep", "--half-im", "inf"]),
     ("radius-eps: ", ["classify", "--res", "4x4", "--radius-eps", "x"]),
     ("c-radius: ", ["expansion", "--c-radius", "x"]),
     ("c_radius", ["expansion", "--c-radius", "-0.1"]),

@@ -67,14 +67,14 @@ def test_pressure_validates_inputs(params22):
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget"):
             pressure(params22, 1.5, 0.1, budget=budget)
-    # no attempt leaves no estimate, and a negative count would slice the
-    # schedule from its end
-    for attempts in (0, -4):
+    # no attempt leaves no estimate, a negative count would slice the
+    # schedule from its end, and a count that is no integer cannot slice it
+    for attempts in (0, -4, 1.5, 2.0):
         with pytest.raises(ValueError, match="max_attempts"):
             pressure(params22, 1.5, 0.1, max_attempts=attempts)
 
 
-@pytest.mark.parametrize("attempts", [0, -4])
+@pytest.mark.parametrize("attempts", [0, -4, 1.5, 2.0])
 def test_bowen_dimension_needs_an_attempt(params22, attempts):
     with pytest.raises(ValueError, match="max_attempts"):
         bowen_dimension(params22, 0.1, max_attempts=attempts)

@@ -142,10 +142,27 @@ def test_sweep_margin_enforced():
         sweep_dimension(2, GridSpec.square(2.0, 0.99, 3), 0.1)
 
 
-def test_sweep_needs_an_attempt():
-    # every cell would fail with no estimate; the sweep refuses the count
+@pytest.mark.parametrize("attempts", [0, 1.5, 2.0])
+def test_sweep_needs_an_attempt(attempts):
+    # every cell would fail with no estimate, or on slicing the schedule;
+    # the sweep refuses the count
     with pytest.raises(ValueError, match="max_attempts"):
-        sweep_dimension(2, GridSpec.square(2.0, 0.25, 3), 0.1, max_attempts=0)
+        sweep_dimension(2, GridSpec.square(2.0, 0.25, 3), 0.1,
+                        max_attempts=attempts)
+
+
+@pytest.mark.parametrize("field, args", [
+    ("center", (complex(math.nan, 0), 0.1, 0.1)),
+    ("center", (complex(2, math.inf), 0.1, 0.1)),
+    ("half_re", (2 + 0j, math.nan, 0.1)),
+    ("half_im", (2 + 0j, 0.1, math.nan)),
+    ("half_im", (2 + 0j, 0.1, -math.inf)),
+])
+def test_grid_needs_finite_bounds(field, args):
+    # a NaN compares False, so it would pass the sweep's margin check and
+    # fail in a cell, in the name of c
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        GridSpec(*args, 2, 1)
 
 
 def test_sweep_5x5_records_and_diagnostics(params22):

@@ -452,7 +452,7 @@ def test_sup_l1_two_threads_one_parameter(params22):
 def _tree_bits(lv):
     """Every figure of a tree, with floats and arrays compared by their bits."""
     nodes = [None if nd is None else
-             tuple(getattr(nd, f).tobytes() for f in ("x", "k", "parent", "dabs", "w"))
+             tuple(getattr(nd, f).tobytes() for f in ("x", "k", "parent", "lam"))
              for nd in lv.nodes]
     return (repr((lv.values, lv.parent_cuts, lv.tail_cuts, lv.misses,
                   lv.stored, lv.budget_exceeded)), nodes)
@@ -677,6 +677,18 @@ def test_second_tree_of_a_shape_adds_nothing(params22, base, solved_pairs):
     assert _held(table) == held
 
 
+def test_empty_request(params22, solved_pairs):
+    # a level whose nodes are all cut asks for no target: the columns come
+    # back empty, read-only and with their usual dtypes, and nothing is solved
+    table = ChildTable(params22, 1e-11)
+    solved_pairs.append(0)
+    got = _table_solve(table, [], [])
+    ref = _tableless(params22, [0.3 + 1.1j], [4])
+    assert [g.dtype for g in got] == [r.dtype for r in ref]
+    assert all(g.size == 0 and not g.flags.writeable for g in got)
+    assert solved_pairs == [0] and table.pairs_requested == 0
+
+
 def test_mixed_request_is_stored_once(monkeypatch, solved_pairs):
     # a request of an exactly served, a wider-served and a new target: the
     # new target's entry is a slice of the solve's own columns, the served
@@ -868,30 +880,39 @@ def test_lift_indices_fit_the_table(params22, base):
 
 
 def test_grow_over_several_chunks(params22, base, monkeypatch):
-    # chunks of a few hundred pairs cut every level past the first into many
-    # solves; the nodes come out the same, and the sums to rounding, as the
-    # chunks add them in another order
+    # chunks of a few hundred pairs cut every level's request past the first
+    # into many solves; a target's roots do not depend on the targets solved
+    # with it, and each level is weighed in one pass over flat arrays, so
+    # every figure of the tree keeps its bits
     ref = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
                 children=ChildTable(params22, defaults.TOL))
-    table = ChildTable(params22, defaults.TOL)
     solves = []
-    solve = table.solve
+    solve = transfer_mod.preimage_arrays
 
-    def counted(targets, kmax, limit):
+    def counted(params, targets, kmax, **kwargs):
         solves.append(targets.size)
-        return solve(targets, kmax, limit)
+        return solve(params, targets, kmax, **kwargs)
 
-    table.solve = counted
+    monkeypatch.setattr(transfer_mod, "preimage_arrays", counted)
     monkeypatch.setattr(transfer_mod, "_PAIR_CHUNK", 300)
     got = _grow(params22, 1.5, base, 3, 64, 1e-9, 100_000, keep_nodes=True,
-                children=table)
+                children=ChildTable(params22, defaults.TOL))
     assert len(solves) > 3 * 3  # the default chunk makes one solve a level
-    assert _tree_bits(got)[1] == _tree_bits(ref)[1]
-    assert (got.stored, got.misses, got.budget_exceeded) \
-        == (ref.stored, ref.misses, ref.budget_exceeded)
-    for sums in ("values", "parent_cuts", "tail_cuts"):
-        np.testing.assert_allclose(getattr(got, sums), getattr(ref, sums),
-                                   rtol=1e-13, atol=0)
+    assert _tree_bits(got) == _tree_bits(ref)
+
+
+@pytest.mark.parametrize("ell, c", [(2, 2.0), (5, 5.5), (16, 16.3)])
+def test_lam_is_the_log_derivative_along_the_path(ell, c):
+    # every kept node's lam is its parent's plus log|F'| at the node, with
+    # F' = ell - e^x, and 0 at the base point
+    p = MapParams(ell, c)
+    lv = _grow(p, 1.3, default_base_point(p), 3, 64, 1e-6, 100_000,
+               keep_nodes=True)
+    assert lv.nodes[0].lam.tobytes() == np.zeros(1).tobytes()
+    for parent, nd in zip(lv.nodes, lv.nodes[1:]):
+        assert nd.x.size > 0
+        want = parent.lam[nd.parent] + np.log(np.abs(ell - np.exp(nd.x)))
+        np.testing.assert_allclose(nd.lam, want, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("ell, c", [(2, 2.0), (5, 5.5), (16, 16.3)])
@@ -939,7 +960,7 @@ def test_read_ends_where_the_growth_did(params22, base, prune, budget):
 def test_shadow_cycles_empty_leaf(params22):
     lv = _Levels(params22, 1.5, 100)
     empty = LevelNodes(np.empty(0, complex), np.empty(0, np.int64),
-                       np.empty(0, np.int64), np.empty(0), np.empty(0))
+                       np.empty(0, np.int64), np.empty(0))
     lv.nodes = [None, None, empty]
     U = _shadow_cycles(params22, lv, 2, 1e-11)
     assert isinstance(U, np.ndarray)
