@@ -293,11 +293,8 @@ class ChildTable:
         of at most _PAIR_CHUNK pairs (one target at least); kmax is an int64
         array.  Every array is read-only."""
         if not targets.size:
-            cols = tuple(np.zeros(0, dt) for dt in (
+            return tuple(np.zeros(0, dt) for dt in (
                 np.int64, np.int16, complex, float, np.int64, np.int64))
-            for col in cols:
-                col.flags.writeable = False
-            return cols
         bits = np.ascontiguousarray(targets).view(np.uint64).reshape(-1, 2)
         self.pairs_requested += int((2 * kmax + 1).sum())
         keys = list(map(tuple, bits.tolist()))
@@ -490,7 +487,8 @@ def _weigh(wk, kk, t, lam_c, lam_m, keep_c, cut):
     children kept, or None where the children whose weight reaches cut are
     kept.  Growth and reads both weigh a level here.
     """
-    cw = np.exp(-t * lam_c)
+    cw = -t * lam_c
+    np.exp(cw, out=cw)
     if keep_c is None:
         keep_c = cw >= cut
     tail_cut = float((wk * tail_bound_value(kk, t)).sum()) \
@@ -583,7 +581,8 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
             limit = 0 if own_table and depth == n else lv.budget
             cn, ck, cx, cdabs, mn, mk = children.solve(x, kk, limit)
             del x  # the next level's come from the solve
-            lam_c = np.repeat(lam, cn) + np.log(cdabs)
+            lam_c = np.log(cdabs)  # in place: the level's widest arrays
+            lam_c += np.repeat(lam, cn)
             lam_m = np.repeat(lam, mn) \
                 + np.log(TWO_PI * np.abs(mk) / defaults.C_GEO)
             keep_c = None
