@@ -487,8 +487,7 @@ def _weigh(wk, kk, t, lam_c, lam_m, keep_c, cut):
     children kept, or None where the children whose weight reaches cut are
     kept.  Growth and reads both weigh a level here.
     """
-    cw = -t * lam_c
-    np.exp(cw, out=cw)
+    cw = np.exp(-t * lam_c)
     if keep_c is None:
         keep_c = cw >= cut
     tail_cut = float((wk * tail_bound_value(kk, t)).sum()) \
@@ -581,8 +580,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
             limit = 0 if own_table and depth == n else lv.budget
             cn, ck, cx, cdabs, mn, mk = children.solve(x, kk, limit)
             del x  # the next level's come from the solve
-            lam_c = np.log(cdabs)  # in place: the level's widest arrays
-            lam_c += np.repeat(lam, cn)
+            lam_c = np.repeat(lam, cn) + np.log(cdabs)
             lam_m = np.repeat(lam, mn) \
                 + np.log(TWO_PI * np.abs(mk) / defaults.C_GEO)
             keep_c = None
