@@ -21,12 +21,16 @@ TWO_PI = 2.0 * math.pi
 
 
 def canonical(z):
-    """Canonical strip representative (Im in (-pi, pi]) of a point or array."""
-    arr = np.asarray(z, dtype=np.complex128)
-    with np.errstate(invalid="ignore"):
-        shift = np.ceil((arr.imag - math.pi) / TWO_PI)
-        shift = np.where(np.isfinite(shift), shift, 0.0)
-        out = arr - (TWO_PI * 1j) * shift
+    """Canonical strip representative (Im in (-pi, pi]) of a complex, a
+    CylinderPoint, or an array or sequence of them: the one strip rule.
+    Only Im moves, and a value in the strip or not finite keeps its bits."""
+    out = np.array(z, dtype=np.complex128)
+    im = out.imag  # a view, so the edits land in out in any memory order
+    # + 0.0 turns a shift of -0.0 into 0.0, so an Im of -0.0 keeps its sign
+    shift = np.ceil((im - math.pi) / TWO_PI) + 0.0
+    im -= TWO_PI * np.where(np.isfinite(shift), shift, 0.0)
+    im[im > math.pi] -= TWO_PI  # the shift rounds: an ulp past an edge
+    im[im <= -math.pi] += TWO_PI
     if out.ndim == 0:
         return complex(out)
     return out
@@ -42,15 +46,6 @@ def cylinder_distance(z, w):
     return out
 
 
-def _val(z):
-    """Complex value(s) of a CylinderPoint, scalar or array."""
-    if isinstance(z, CylinderPoint):
-        return z.z
-    if isinstance(z, np.ndarray):
-        return z.astype(np.complex128, copy=False)
-    return complex(z)
-
-
 @dataclass(frozen=True)
 class CylinderPoint:
     """A point of the cylinder in canonical coordinates, Im in (-pi, pi]."""
@@ -59,10 +54,12 @@ class CylinderPoint:
     im: float
 
     def __post_init__(self):
-        object.__setattr__(self, "re", float(self.re))
-        im = float(self.im)
-        im -= TWO_PI * math.ceil((im - math.pi) / TWO_PI)
-        object.__setattr__(self, "im", im)
+        for name in ("re", "im"):
+            v = float(getattr(self, name))
+            if not math.isfinite(v):
+                raise ValueError(f"CylinderPoint {name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "im", canonical(complex(0.0, self.im)).imag)
 
     @classmethod
     def from_complex(cls, z):
@@ -121,7 +118,7 @@ class MapParams:
 
 def evaluate(params: MapParams, z):
     """One step of the cylinder map, returned in canonical coordinates."""
-    v = _val(z)
+    v = np.asarray(z, dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         out = canonical(params.ell * v + params.affine_term - np.exp(v))
     return out
@@ -129,7 +126,7 @@ def evaluate(params: MapParams, z):
 
 def derivative(params: MapParams, z):
     """Phase derivative ell - e^z; well defined on the cylinder."""
-    return params.ell - np.exp(_val(z))
+    return params.ell - np.exp(np.asarray(z, dtype=np.complex128))
 
 
 def param_derivative(params: MapParams):
@@ -238,7 +235,7 @@ def classify_orbit(params: MapParams, z, max_iter: int = defaults.MAX_ITER,
     unresolved), with the number of map steps taken before it was decided
     (the rules, and why there is no escape to +infinity, are documented at
     _classify)."""
-    tags, used = _classify(params, np.array([canonical(_val(z))]), max_iter,
+    tags, used = _classify(params, np.array([canonical(z)]), max_iter,
                            radius_eps)
     return OrbitClass(OrbitTag(int(tags[0])), int(used[0]))
 

@@ -559,14 +559,8 @@ class PreimageSet:
                          self._derivs.tolist()))
 
     def points(self):
-        """The roots as the points of branches hold them: CylinderPoint's Im
-        rule applied once to the solver's values (the rule can move a value
-        within an ulp of a strip edge again, so it is not applied twice)."""
-        xs = self._xs.copy()
-        # + 0.0 turns a shift of -0.0 into 0.0, so an Im of -0.0 stays -0.0
-        # as under math.ceil
-        xs.imag -= TWO_PI * (np.ceil((xs.imag - math.pi) / TWO_PI) + 0.0)
-        return xs
+        """The roots as the points of branches hold them."""
+        return canonical(self._xs)
 
     def ks(self):
         return self._ks.copy()
@@ -596,7 +590,7 @@ def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL
         raise ValueError("K must be >= 1")
     if K > _K_LIMIT:
         raise ValueError(f"K must be <= {_K_LIMIT}, got {K}")
-    w = _as_c(w)
+    w = complex(w)
     if not cmath.isfinite(w):
         raise ValueError(f"target w must be finite, got {w!r}")
     wt = canonical(w)
@@ -618,12 +612,6 @@ def preimages(params: MapParams, w, K: int, tol: float = defaults.TOL
         col.flags.writeable = False
     return PreimageSet(CylinderPoint.from_complex(wt), int(K), float(tol), miss,
                        bound_ok, ks, xs, ders)
-
-
-def _as_c(z):
-    if isinstance(z, CylinderPoint):
-        return z.z
-    return complex(z)
 
 
 def _branch_roots_single(params: MapParams, target: complex, k: int, tol):
@@ -649,7 +637,7 @@ def inverse_branch(params: MapParams, w, branch_word, tol: float = defaults.TOL
     if not len(branch_word):
         raise ValueError("branch_word must be nonempty")
     _check_tol(tol)
-    v = canonical(_as_c(w))
+    v = canonical(w)
     for depth, k in enumerate(branch_word):
         roots = _branch_roots_single(params, v, int(k), tol)
         if roots.size == 0:

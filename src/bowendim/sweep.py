@@ -83,8 +83,10 @@ def continue_periodic(params0: MapParams, p: PeriodicPoint, path,
     def fail(msg):
         raise ContinuationError(msg, ContinuationTrack(period, tuple(entries), p))
 
-    for target in path:
+    for i, target in enumerate(path):
         target = complex(target)
+        if not np.isfinite(target):
+            raise ValueError(f"path entry {i} must be finite, got {target}")
         while abs(target - c) > 1e-15:
             dc_full = target - c
             n_sub = max(1, math.ceil(abs(dc_full) / defaults.MAX_STEP_C))

@@ -531,7 +531,7 @@ def _grow(params, t, z, n, K, prune, budget, keep_nodes=False, tol=defaults.TOL,
         raise ValueError(f"prune must be finite and >= 0, got {prune}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
+    base = canonical(z)
     if not np.isfinite(base):
         raise ValueError(f"base point z must be finite, got {base}")
     own_table = children is None
@@ -625,7 +625,7 @@ class TreeStore:
 
     def levels(self, params, t, z, n, K, prune, budget):
         """The row's tree at t, grown and recorded or read from its record."""
-        base = canonical(complex(z) if not isinstance(z, CylinderPoint) else z.z)
+        base = canonical(z)
         key = (np.complex128(base).tobytes(), n, K, prune, budget)
         record = self.records.get(key, [])
         read = bool(record)  # a recorded tree has at least one level
@@ -765,7 +765,7 @@ def _shadow_cycles(params, lv, n, tol):
     dropped = int(n_words - good.sum())
     if dropped:
         log.info("zeta: %d of %d words did not close up", dropped, n_words)
-    return U[:, good]
+    return canonical(U[:, good])
 
 
 def periodic_points(params: MapParams, n: int, K: int):
@@ -846,8 +846,9 @@ def eigenfunction_iterate(params: MapParams, t: float, samples, iterations: int,
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     base = default_base_point(params)
-    pts = np.array([canonical(complex(s) if not isinstance(s, CylinderPoint) else s.z)
-                    for s in samples], dtype=np.complex128)
+    pts = np.array([canonical(s) for s in samples], dtype=np.complex128)
+    if not pts.size:
+        raise ValueError("samples must name at least one point")
     allpts = np.concatenate([pts, [canonical(base)]])
     raw = np.empty((iterations + 1, allpts.size))
     for j, p in enumerate(allpts):
@@ -888,7 +889,9 @@ def conformal_atoms(params: MapParams, t: float, P: float, base, depth: int,
         raise ValueError("depth must be >= 0")
     if depth > defaults.ATOM_DEPTH_CAP:
         raise ValueError(f"depth capped at {defaults.ATOM_DEPTH_CAP}")
-    b = canonical(complex(base) if not isinstance(base, CylinderPoint) else base.z)
+    if not math.isfinite(P):
+        raise ValueError(f"P must be finite, got {P}")
+    b = canonical(base)
     if depth == 0:
         return AtomicMeasure(np.array([b]), np.array([1.0]), t, 0,
                              CylinderPoint.from_complex(b))

@@ -40,6 +40,61 @@ def test_canonical_strip():
     p = CylinderPoint(0.0, 3 * math.pi / 2)
     assert p.im == pytest.approx(-math.pi / 2)
     assert cylinder_distance(0.1 + 1j * math.pi, 0.1 - 1j * math.pi) < 1e-15
+    # the one strip rule, idempotent at both edges: +-8 ulps around
+    # +-pi + 2*pi*k, signed zeros, non-finite values and seeded bulk values
+    edges = np.array([s * math.pi + TWO_PI * k for s in (-1, 1)
+                      for k in range(-6, 7)])
+    near = [edges]
+    for _ in range(8):
+        near += [np.nextafter(near[-1], -np.inf)]
+    far = [edges]
+    for _ in range(8):
+        far += [np.nextafter(far[-1], np.inf)]
+    ims = np.concatenate(near + far + [
+        [0.0, -0.0, math.nan, math.inf, -math.inf, -3.1415926535897927],
+        np.random.default_rng(7).uniform(-60.0, 60.0, 1_000_000)])
+    res = ims[::-1]
+    z = np.empty(ims.size, dtype=np.complex128)
+    z.real, z.imag = res, ims
+    w = canonical(z)
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    assert np.array_equal(bits(w.real), bits(z.real))  # Re keeps its bits
+    fin = np.isfinite(ims)
+    assert np.all((w.imag[fin] > -math.pi) & (w.imag[fin] <= math.pi))
+    assert np.array_equal(bits(w.imag[~fin]), bits(ims[~fin]))
+    assert np.array_equal(bits(canonical(w)), bits(w))  # idempotent
+    inside = fin & (ims > -math.pi) & (ims <= math.pi)
+    assert np.array_equal(bits(w.imag[inside]), bits(ims[inside]))
+    assert canonical(complex(0.0, -3.1415926535897927)).imag == -3.1415926535897927
+    # shifted by whole turns only: the residue of Im is kept to rounding
+    assert np.all(cylinder_distance(1j * w.imag[fin], 1j * ims[fin]) <= 1e-13)
+    # scalars, CylinderPoints and sequences agree with the array rule, and
+    # CylinderPoint stores canonical's Im
+    for i in np.flatnonzero(fin)[:200].tolist() + [len(ims) - 1]:
+        cp = CylinderPoint(res[i] if np.isfinite(res[i]) else 0.0, ims[i])
+        assert bits(np.array([cp.im])) == bits(w.imag[i:i + 1])
+        assert bits(np.array([canonical(z[i]).imag])) == bits(w.imag[i:i + 1])
+        assert canonical(cp) == cp.z
+    assert np.array_equal(bits(canonical(list(z[:50]))), bits(w[:50]))
+    # 2-D arrays in C order, F order and strided views: every entry reduced
+    # in place of its own, none dropped by a copy
+    block = z[:120_000].reshape(300, 400)
+    for arr in (block, np.asfortranarray(block), block[::3, ::-2],
+                np.asfortranarray(block)[1::2, ::5]):
+        got = canonical(arr)
+        assert got.shape == arr.shape
+        assert np.array_equal(bits(got), bits(canonical(arr.ravel()).reshape(arr.shape)))
+        assert np.all(np.abs(got.imag[np.isfinite(got.imag)]) <= math.pi)
+        assert np.array_equal(bits(canonical(got)), bits(got))
+
+
+@pytest.mark.parametrize("re, im, name", [(math.nan, 0.0, "re"),
+                                           (math.inf, 0.0, "re"),
+                                           (0.0, math.nan, "im"),
+                                           (0.0, -math.inf, "im")])
+def test_cylinder_point_rejects_non_finite(re, im, name):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        CylinderPoint(re, im)
 
 
 def test_fixed_point_of_log_c(params22):

@@ -72,6 +72,14 @@ def test_track_aborts_on_failure(params22, fp1):
     assert e.value.track is not None
 
 
+@pytest.mark.parametrize("entry", [math.nan, complex(2.0, math.inf)])
+def test_track_refuses_non_finite_path_entry(params22, fp1, entry):
+    # a NaN entry once ended the track at its start: abs(nan - c) > eps is
+    # False, so no step was taken
+    with pytest.raises(ValueError, match="path entry 1 must be finite"):
+        continue_periodic(params22, fp1, [2 + 0.01j, entry])
+
+
 def test_expansion_constants(params22, fp1):
     est = expansion_constants(params22, 0.1, 50, 10)
     assert est.kappa > 1

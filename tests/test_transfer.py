@@ -180,6 +180,8 @@ def test_periodic_points_residuals(params22):
         x = U[0, i]
         w = evaluate(params22, evaluate(params22, x))
         assert cylinder_distance(w, x) < 2e-11
+    # every point of every cycle is the canonical representative
+    assert np.all((U.imag > -math.pi) & (U.imag <= math.pi))
 
 
 def test_zeta_value_stable_in_k(params22):
@@ -846,6 +848,15 @@ def test_base_point_must_be_finite(params22, z):
         eigenfunction_iterate(params22, 1.5, [z], 2, 16)
     with pytest.raises(ValueError, match="finite"):
         pressure(params22, 1.5, 0.1, z=z)
+
+
+def test_eigenfunction_and_atoms_refuse_empty_or_non_finite(params22, base):
+    with pytest.raises(ValueError, match="samples"):
+        eigenfunction_iterate(params22, 1.5, [], 2, 16)
+    # P cancels in the normalisation, but a non-finite P poisons every mass
+    for P in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="P must be finite"):
+            conformal_atoms(params22, 1.5, P, base, 2, K=16)
 
 
 def test_table_of_another_parameter_is_rejected(params22, base):
