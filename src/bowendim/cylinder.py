@@ -25,12 +25,14 @@ def canonical(z):
     CylinderPoint, or an array or sequence of them: the one strip rule.
     Only Im moves, and a value in the strip or not finite keeps its bits."""
     out = np.array(z, dtype=np.complex128)
-    im = out.imag  # a view, so the edits land in out in any memory order
+    im = np.atleast_1d(out.imag)  # a view: writes land in out, in any order
+    shift = np.ceil((im - math.pi) / TWO_PI)
+    shift[~np.isfinite(shift)] = 0.0
     # + 0.0 turns a shift of -0.0 into 0.0, so an Im of -0.0 keeps its sign
-    shift = np.ceil((im - math.pi) / TWO_PI) + 0.0
-    im -= TWO_PI * np.where(np.isfinite(shift), shift, 0.0)
-    im[im > math.pi] -= TWO_PI  # the shift rounds: an ulp past an edge
-    im[im <= -math.pi] += TWO_PI
+    r = im - TWO_PI * (shift + 0.0)
+    r[r > math.pi] -= TWO_PI  # the shift rounds: an ulp past an edge
+    r[r <= -math.pi] += TWO_PI
+    im[...] = r
     if out.ndim == 0:
         return complex(out)
     return out
